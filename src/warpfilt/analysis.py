@@ -62,9 +62,9 @@ class FRatioReport:
         """Machine-readable rows: filter, one column per variant, winner flag."""
         lines = ["\t".join(["filter"] + self.variant_names + ["winner"])]
         for j in range(self.ratios.shape[0]):
-            cells = [str(j + 1)] + [repr(x) for x in self.ratios[j]] + [self.winners[j] or ""]
+            cells = [str(j + 1)] + [repr(float(x)) for x in self.ratios[j]] + [self.winners[j] or ""]
             lines.append("\t".join(cells))
-        lines.append("\t".join(["avg"] + [repr(x) for x in self.averages] + [""]))
+        lines.append("\t".join(["avg"] + [repr(float(x)) for x in self.averages] + [""]))
         return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,6 @@ score fusion, and DET/EER/minDCF metrics."""
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .features import FeatureMatrix
 
@@ -66,10 +65,14 @@ def component_log_densities(model: GmmModel, x: np.ndarray) -> np.ndarray:
 
 def log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Per-frame mixture log likelihoods."""
+    from scipy.special import logsumexp  # deferred: keeps scipy out of front-end processes
+
     return logsumexp(np.log(model.weights)[None, :] + component_log_densities(model, x), axis=1)
 
 
 def _responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float]:
+    from scipy.special import logsumexp  # deferred: keeps scipy out of front-end processes
+
     log_joint = np.log(model.weights)[None, :] + component_log_densities(model, x)
     log_norm = logsumexp(log_joint, axis=1)
     return np.exp(log_joint - log_norm[:, None]), float(log_norm.mean())

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import analysis, backend, filterbank, sad, scale, store
 from .dsp import next_pow2
-from .features import ENERGY_EPS, FeatureConfig, extract_features, filterbank_log_energies, utterance_spectra
+from .features import FeatureConfig, extract_features, filterbank_log_energies, utterance_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -239,7 +238,7 @@ def cmd_learn_filterbank(args) -> int:
                 seg = _load_segment(entry, sr)
                 spec, frames = utterance_spectra(seg, fc)
                 mask = sad.bi_gaussian_sad(sad.frame_log_energy(frames))
-                return np.log(spec.frames[mask] + ENERGY_EPS)
+                return np.log(spec.frames[mask] + sad.ENERGY_EPS)
             except ValueError as err:
                 raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
 
@@ -442,9 +441,11 @@ def cmd_evaluate(args) -> int:
     if args.det_out is not None:
         out = Path(args.det_out)
         _refuse_existing(out, args.overwrite)
-        with np.errstate(divide="ignore"):
-            probit_miss = scipy.stats.norm.ppf(curve.p_miss)
-            probit_fa = scipy.stats.norm.ppf(curve.p_fa)
+        from scipy.special import ndtri  # deferred: only --det-out needs it
+
+        # The standard normal quantile; -inf at 0 and inf at 1, as norm.ppf gives.
+        probit_miss = ndtri(curve.p_miss)
+        probit_fa = ndtri(curve.p_fa)
         lines = ["threshold\tp_miss\tp_fa\tprobit_miss\tprobit_fa"]
         for row in zip(curve.thresholds, curve.p_miss, curve.p_fa, probit_miss, probit_fa):
             lines.append("\t".join(repr(float(v)) for v in row))
@@ -567,7 +568,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
-        logger.error("%s", err)
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

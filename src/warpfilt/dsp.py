@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 
 @dataclass
@@ -132,5 +131,7 @@ def dct_ii_ortho(v: np.ndarray, n_out: int | None = None) -> np.ndarray:
         n_out = q
     if not 1 <= n_out <= q:
         raise ValueError("n_out must be in [1, len(v)]")
+    import scipy.fft  # deferred: only feature extraction needs it, and it costs start-up time
+
     c = scipy.fft.dct(v, type=2, norm="ortho", axis=-1)
     return c[..., :n_out]

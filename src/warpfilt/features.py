@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .dsp import (
     AudioSegment,
@@ -16,9 +15,7 @@ from .dsp import (
     pre_emphasize,
 )
 from .filterbank import Filterbank
-from .sad import bi_gaussian_sad, frame_log_energy
-
-ENERGY_EPS = 1e-12
+from .sad import ENERGY_EPS, bi_gaussian_sad, frame_log_energy
 
 # Classic RASTA band-pass: 0.1*(2 + z^-1 - z^-3 - 2 z^-4) / (1 - 0.98 z^-1).
 RASTA_NUM = 0.1 * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
@@ -101,9 +98,31 @@ def cepstra(log_energies: np.ndarray, n_ceps: int) -> np.ndarray:
 
 
 def rasta_filter(trajectories: np.ndarray) -> np.ndarray:
-    """RASTA band-pass applied independently to each coefficient trajectory."""
-    trajectories = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
-    return scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, trajectories, axis=0)
+    """RASTA band-pass applied independently to each coefficient trajectory.
+
+    Direct form II transposed with zero initial state, in the operation order
+    of scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0), so the output is
+    bit-identical to it. Only the first delay state has a feedback term, so the
+    FIR parts of the four states are summed for all frames at once and only
+    the one-pole recursion loops over frames. lfilter also subtracts y * 0
+    from the other three states. That can only change the sign of a zero
+    state, which could reach the output only through an output of -0.0; none
+    occurs, since y[0] = 0.0 + b0 * x[0] is not -0.0 and each -0.0 output
+    would need a -0.0 output before it.
+    """
+    x = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
+    n = x.shape[0]
+    b0, b1, b2, b3, b4 = RASTA_NUM
+    a1 = RASTA_DEN[1]
+    past = np.concatenate([np.zeros((3, x.shape[1])), x])  # past[k + 3 - i] = x[k - i]
+    fir = ((b4 * past[:n] + b3 * past[1 : n + 1]) + b2 * past[2 : n + 2]) + b1 * x
+    b0x = b0 * x
+    y = np.empty_like(x)
+    state = np.zeros(x.shape[1])
+    for k in range(n):
+        y[k] = state + b0x[k]
+        state = fir[k] - y[k] * a1
+    return y
 
 
 def append_deltas(base: np.ndarray, w: int = 2) -> np.ndarray:

@@ -329,7 +329,10 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise ValueError(f"{path}: manifest needs 'sample_rate_hz' and 'entries'")
     entries = []
     seen = set()
-    for item in obj["entries"]:
+    for i, item in enumerate(obj["entries"]):
+        for key in ("utterance_id", "path"):
+            if not isinstance(item, dict) or key not in item:
+                raise ValueError(f"{path}: entry {i} lacks {key!r}")
         utt = item["utterance_id"]
         if utt in seen:
             raise ValueError(f"{path}: duplicate utterance id {utt!r}")

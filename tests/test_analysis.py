@@ -101,3 +101,6 @@ class TestFRatioReport:
         header = tsv.splitlines()[0].split("\t")
         assert header == ["filter", "mel", "learned", "winner"]
         assert len(tsv.splitlines()) == report.ratios.shape[0] + 2
+        rows = [line.split("\t") for line in tsv.splitlines()[1:]]
+        cells = np.array([[float(cell) for cell in row[1:3]] for row in rows])
+        assert np.array_equal(cells, np.vstack([report.ratios, report.averages]))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpfilt
 from warpfilt.cli import RunConfig, load_config, main
 from warpfilt.store import (
     CorpusManifest,
@@ -17,6 +22,15 @@ def run(capsys, *args):
     rc = main([str(a) for a in args])
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def python_child(*args):
+    """Run a Python child with this checkout's warpfilt importable."""
+    src = str(Path(warpfilt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def parse_kv(text):
@@ -205,6 +219,17 @@ class TestAsvCommands:
         assert rows[0].split("\t") == ["threshold", "p_miss", "p_fa", "probit_miss", "probit_fa"]
         assert len(rows) > 2
 
+    def test_det_probits_match_norm_ppf(self, capsys, pipeline, tmp_path):
+        import scipy.stats
+
+        det = tmp_path / "det.tsv"
+        rc, _, _ = run(capsys, "evaluate", "--scores", pipeline / "scores.tsv", "--det-out", det)
+        assert rc == 0
+        cols = np.array([[float(v) for v in row.split("\t")] for row in det.read_text().splitlines()[1:]])
+        expected = scipy.stats.norm.ppf(cols[:, 1:3])
+        assert np.isneginf(expected).any() and np.isposinf(expected).any()
+        assert cols[:, 3:5].tobytes() == expected.tobytes()
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -219,6 +244,45 @@ class TestExitCodes:
     def test_data_error(self, capsys, tmp_path):
         rc, _, err = run(capsys, "evaluate", "--scores", tmp_path / "missing.tsv")
         assert rc == 2
+
+    def test_missing_manifest_one_error_line(self, tmp_path):
+        # A child process, so logging is set up as in a shell run rather than under pytest.
+        missing = tmp_path / "missing.json"
+        proc = python_child("-m", "warpfilt.cli", "learn-scale", "--manifest", missing, "--out", tmp_path / "s.json")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(missing) in lines[0]
+
+    def test_manifest_entry_without_path(self, capsys, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"sample_rate_hz": 16000, "entries": [{"utterance_id": "u"}]}))
+        rc, _, err = run(capsys, "learn-scale", "--manifest", manifest, "--out", tmp_path / "s.json")
+        assert rc == 2
+        assert err.splitlines() == [f"error: {manifest}: entry 0 lacks 'path'"]
+
+
+class TestStartup:
+    SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+    def test_import_loads_no_scipy(self):
+        proc = python_child("-c", "import sys, warpfilt, warpfilt.cli; " + self.SCIPY_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_front_end_commands_load_no_scipy(self, small_corpus, tmp_path):
+        m, s, fb = str(small_corpus["manifest"]), str(tmp_path / "s.json"), str(tmp_path / "fb.json")
+        runs = [
+            ["learn-scale", "--manifest", m, "--out", s, "--scale", "speech-pitch"],
+            ["learn-filterbank", "--manifest", m, "--scale-doc", s, "--out", fb, "--shape", "wpca-norm"],
+            ["fratio", "--manifest", m, "--filterbanks", fb, fb],
+        ]
+        script = (
+            "import json, sys; from warpfilt.cli import main; "
+            "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1])); " + self.SCIPY_MODULES
+        )
+        proc = python_child("-c", script, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestRunConfig:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -102,6 +103,17 @@ class TestRastaFilter:
                 acc -= RASTA_DEN[1] * y[n - 1]
             y[n] = acc
         assert np.abs(got - y).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 2, 4, 5, 600])
+    def test_bit_identical_to_lfilter(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        x = rng.normal(0.0, 3.0, size=(n_frames, 19))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.1] = -0.0
+        ref = scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0)
+        got = rasta_filter(x)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestAppendDeltas:

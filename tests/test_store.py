@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 from pathlib import Path
 
@@ -289,6 +291,15 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text('{"sample_rate_hz": 16000, "entries": [{"utterance_id": "u", "path": "gone.wav"}]}')
         with pytest.raises(ValueError, match="missing audio file"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("field", ["utterance_id", "path"])
+    def test_entry_missing_field_named(self, tmp_path, field):
+        entry = {"utterance_id": "u", "path": "u.wav"}
+        del entry[field]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"sample_rate_hz": 16000, "entries": [entry]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: entry 0 lacks '{field}'")):
             load_manifest(path)
 
     def test_file_digest_changes(self, tmp_path):
