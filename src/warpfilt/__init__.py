@@ -39,7 +39,9 @@ from .features import (
 from .filterbank import (
     Filterbank,
     FilterbankLayout,
+    SubbandStatistics,
     learn_pca_filterbank,
+    pca_filterbank,
     pca_first_basis,
     place_filter_edges,
     subband_covariance,

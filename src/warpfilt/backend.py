@@ -49,40 +49,65 @@ class GmmModel:
 
 
 def component_log_densities(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    """Per-frame, per-component diagonal Gaussian log densities, shape (N, C)."""
+    """Per-frame, per-component diagonal Gaussian log densities, shape (N, C).
+
+    The quadratic form is expanded as sum(x^2/var) - 2 sum(x*mean/var) + sum(mean^2/var),
+    so all components are evaluated with two matrix products and no (N, C, D) array.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.dim:
         raise ValueError("feature dimension mismatch")
-    out = np.empty((x.shape[0], model.n_components))
-    const = model.dim * np.log(2.0 * np.pi)
-    for c in range(model.n_components):
-        diff = x - model.means[c]
-        out[:, c] = -0.5 * (
-            const + np.log(model.variances[c]).sum() + (diff * diff / model.variances[c]).sum(axis=1)
-        )
+    precisions = 1.0 / model.variances
+    const = (
+        (model.means**2 * precisions).sum(axis=1)
+        + np.log(model.variances).sum(axis=1)
+        + model.dim * np.log(2.0 * np.pi)
+    )
+    out = (x * x) @ precisions.T
+    out -= x @ (2.0 * model.means * precisions).T
+    out += const
+    out *= -0.5
     return out
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))), computed as scipy.special.logsumexp(a, axis=1) does.
+
+    The largest term of each row is taken out of the sum, so log1p keeps the rest
+    accurate when one term dominates.
+    """
+    rows = np.arange(a.shape[0])
+    top = a.argmax(axis=1)
+    a_max = a[rows, top]
+    terms = np.exp(a - a_max[:, None])
+    terms[rows, top] = 0.0
+    return np.log1p(terms.sum(axis=1)) + a_max
 
 
 def log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Per-frame mixture log likelihoods."""
-    from scipy.special import logsumexp  # deferred: keeps scipy out of front-end processes
-
-    return logsumexp(np.log(model.weights)[None, :] + component_log_densities(model, x), axis=1)
+    return _logsumexp(np.log(model.weights)[None, :] + component_log_densities(model, x))
 
 
 def _responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    from scipy.special import logsumexp  # deferred: keeps scipy out of front-end processes
-
     log_joint = np.log(model.weights)[None, :] + component_log_densities(model, x)
-    log_norm = logsumexp(log_joint, axis=1)
+    log_norm = _logsumexp(log_joint)
     return np.exp(log_joint - log_norm[:, None]), float(log_norm.mean())
+
+
+# Frames per block of the initial assignment: the block's distance array is
+# _INIT_CHUNK x C x D, whatever the number of frames.
+_INIT_CHUNK = 1024
 
 
 def _kmeans_style_init(x: np.ndarray, n_components: int, rng: np.random.Generator) -> GmmModel:
     n = x.shape[0]
     centroids = x[rng.choice(n, size=n_components, replace=False)]
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
+    assign = np.empty(n, dtype=np.intp)
+    for start in range(0, n, _INIT_CHUNK):
+        block = x[start : start + _INIT_CHUNK]
+        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign[start : start + _INIT_CHUNK] = d2.argmin(axis=1)
     global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
     weights = np.empty(n_components)
     means = centroids.copy()
@@ -118,11 +143,7 @@ def train_ubm(
         safe_nk = np.maximum(nk, 1e-12)
         weights = nk / x.shape[0]
         means = gamma.T @ x / safe_nk[:, None]
-        variances = np.empty_like(means)
-        for c in range(model.n_components):
-            diff = x - means[c]
-            variances[c] = (gamma[:, c][:, None] * diff * diff).sum(axis=0) / safe_nk[c]
-        variances = np.maximum(variances, VARIANCE_FLOOR)
+        variances = np.maximum(gamma.T @ (x * x) / safe_nk[:, None] - means**2, VARIANCE_FLOOR)
         model = GmmModel(weights / weights.sum(), means, variances)
     return model, history
 
@@ -144,14 +165,24 @@ def map_adapt_means(ubm: GmmModel, features: np.ndarray, relevance: float = 14.0
     return GmmModel(ubm.weights.copy(), means, ubm.variances.copy())
 
 
-def score_trial(enroll: GmmModel, ubm: GmmModel, test: FeatureMatrix) -> float:
-    """Per-frame-averaged log-likelihood ratio over the masked (speech) frames."""
-    if enroll.dim != ubm.dim:
+def score_segment(enrolls: list[GmmModel], ubm: GmmModel, test: FeatureMatrix) -> list[float]:
+    """score_trial for several enrolled models on one test segment.
+
+    The UBM log-likelihoods of the segment's speech frames are computed once and
+    shared by every model.
+    """
+    if any(enroll.dim != ubm.dim for enroll in enrolls):
         raise ValueError("model dimensions do not match")
     x = test.speech_frames
     if x.shape[0] < 1:
         raise ValueError("no speech frames to score")
-    return float(np.mean(log_likelihoods(enroll, x) - log_likelihoods(ubm, x)))
+    ubm_ll = log_likelihoods(ubm, x)
+    return [float(np.mean(log_likelihoods(enroll, x) - ubm_ll)) for enroll in enrolls]
+
+
+def score_trial(enroll: GmmModel, ubm: GmmModel, test: FeatureMatrix) -> float:
+    """Per-frame-averaged log-likelihood ratio over the masked (speech) frames."""
+    return score_segment([enroll], ubm, test)[0]
 
 
 @dataclass(frozen=True)

@@ -88,10 +88,18 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     values = {}
     if path is not None:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(obj) - known
+        types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        unknown = set(obj) - set(types)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        for name, value in obj.items():
+            # JSON has one number type: an int is accepted for a float, but a bool is no int.
+            expected = types[name]
+            accepted = (int, float) if expected is float else expected
+            if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+                raise ValueError(
+                    f"{path}: field '{name}' must be {expected.__name__}, got {type(value).__name__}"
+                )
         values.update(obj)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
@@ -117,10 +125,12 @@ def _setup_logging():
 
 
 def _map_ordered(fn, items, jobs: int):
+    """Yield fn(item) in item order as results come; jobs > 1 runs fn on a thread pool."""
     if jobs <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 @contextmanager
@@ -200,7 +210,7 @@ def cmd_learn_scale(args) -> int:
             except ValueError as err:
                 raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
 
-        ltas_list = _map_ordered(one, entries, cfg.jobs)
+        ltas_list = list(_map_ordered(one, entries, cfg.jobs))
         avg = scale.average_ltas(ltas_list)
         partition = scale.equal_area_partition(avg, cfg.n_filters)
         warping = scale.build_warping_scale(partition, avg.bin_hz, sr / 2.0, kind)
@@ -232,6 +242,7 @@ def cmd_learn_filterbank(args) -> int:
             raise ValueError("no utterances")
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
         fc = cfg.feature_config()
+        taper = shape_kind in ("windowed-pca", "windowed-pca-normalized")
 
         def one(entry):
             try:
@@ -242,13 +253,11 @@ def cmd_learn_filterbank(args) -> int:
             except ValueError as err:
                 raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
 
-        log_specs = np.vstack(_map_ordered(one, entries, cfg.jobs))
-        fb = filterbank.learn_pca_filterbank(
-            log_specs,
-            layout,
-            taper=shape_kind in ("windowed-pca", "windowed-pca-normalized"),
-            normalize=shape_kind == "windowed-pca-normalized",
-        )
+        # Added in manifest order, so the filterbank does not depend on --jobs.
+        stats = filterbank.SubbandStatistics(layout, taper)
+        for log_spec in _map_ordered(one, entries, cfg.jobs):
+            stats.add(log_spec)
+        fb = filterbank.pca_filterbank(stats, normalize=shape_kind == "windowed-pca-normalized")
     out = Path(args.out)
     _refuse_existing(out, args.overwrite)
     manifest_path = args.manifest if shape_kind != "triangular" else None
@@ -317,7 +326,7 @@ def cmd_fratio(args) -> int:
                 except ValueError as err:
                     raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
 
-            groups[speaker] = np.vstack(_map_ordered(one, entries, cfg.jobs))
+            groups[speaker] = np.vstack(list(_map_ordered(one, entries, cfg.jobs)))
         label = Path(doc_path).stem
         if label in variants:
             label = f"{label}#{sum(1 for v in variants if v.split('#')[0] == label) + 1}"
@@ -391,35 +400,28 @@ def cmd_score(args) -> int:
     ubm = store.gmm_from_document(store.load_model(args.ubm, expect_kind="gmm"))
     models_dir = Path(args.models)
     feature_files = _read_feature_dir(Path(args.features))
-    enroll_cache = {}
-    feature_cache = {}
-
-    def enroll_model(enroll_id):
-        if enroll_id not in enroll_cache:
-            path = models_dir / f"{enroll_id}.json"
+    enroll_models = {}
+    by_test = {}  # test_id -> indices of its trials, in trial-list order
+    for i, t in enumerate(trials.trials):
+        if t.enroll_id not in enroll_models:
+            path = models_dir / f"{t.enroll_id}.json"
             if not path.exists():
-                raise ValueError(f"no enrolled model for {enroll_id}")
-            enroll_cache[enroll_id] = store.gmm_from_document(
-                store.load_model(path, expect_kind="gmm")
-            )
-        return enroll_cache[enroll_id]
+                raise ValueError(f"no enrolled model for {t.enroll_id}")
+            enroll_models[t.enroll_id] = store.gmm_from_document(store.load_model(path, expect_kind="gmm"))
+        if t.test_id not in feature_files:
+            raise ValueError(f"no features for test segment {t.test_id}")
+        by_test.setdefault(t.test_id, []).append(i)
 
-    def test_features(test_id):
-        if test_id not in feature_cache:
-            if test_id not in feature_files:
-                raise ValueError(f"no features for test segment {test_id}")
-            feature_cache[test_id] = store.read_features(feature_files[test_id])
-        return feature_cache[test_id]
+    def one(test_id):
+        models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]
+        return backend.score_segment(models, ubm, store.read_features(feature_files[test_id]))
 
-    for t in trials.trials:  # warm caches serially so threads stay read-only
-        enroll_model(t.enroll_id)
-        test_features(t.test_id)
-
-    def one(trial):
-        value = backend.score_trial(enroll_model(trial.enroll_id), ubm, test_features(trial.test_id))
-        return dataclasses.replace(trial, score=value)
-
-    scored = backend.TrialScoreSet(_map_ordered(one, trials.trials, cfg.jobs))
+    scores = {}
+    for test_id, values in zip(by_test, _map_ordered(one, list(by_test), cfg.jobs)):
+        scores.update(zip(by_test[test_id], values))
+    scored = backend.TrialScoreSet(
+        [dataclasses.replace(t, score=scores[i]) for i, t in enumerate(trials.trials)]
+    )
     out = Path(args.out)
     _refuse_existing(out, args.overwrite)
     store.write_scores(scored, out)
@@ -479,7 +481,7 @@ def _add_common(p, *, jobs=True, seed=True):
     if seed:
         p.add_argument("--seed", type=int, help="random seed (default 0)")
     if jobs:
-        p.add_argument("--jobs", type=int, help="parallel workers over utterances/trials")
+        p.add_argument("--jobs", type=int, help="parallel workers over utterances or test segments")
     p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
 
 

@@ -132,10 +132,84 @@ def subband_covariance(
         if taper.shape != (sliced.shape[1],):
             raise ValueError("taper length must equal the band width")
         sliced = sliced * taper
-    mean = sliced.mean(axis=0)
-    centered = sliced - mean
-    cov = centered.T @ centered / (n_frames - 1)
-    return cov, mean
+    mean, scatter = _scatter(sliced)
+    return scatter / (n_frames - 1), mean
+
+
+def _scatter(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the rows and the sum of their outer products about it."""
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    return mean, centered.T @ centered
+
+
+class SubbandStatistics:
+    """Frame count, mean and scatter matrix of every (optionally tapered) subband of a layout.
+
+    Log spectra are added in batches of any size, one utterance each say. Their rows
+    are folded into the statistics in blocks of block_frames rows, each block merged
+    with the pairwise update of Chan, Golub & LeVeque (1979). So the result depends on
+    the sequence of rows only, not on how it was split into batches, and memory holds
+    one block, not the corpus. Up to block_frames rows give subband_covariance's
+    two-pass covariance exactly.
+    """
+
+    def __init__(self, layout: FilterbankLayout, taper: bool = False, block_frames: int = 8192):
+        if block_frames < 2:
+            raise ValueError("blocks need >=2 frames")
+        self.layout = layout
+        self.taper = taper
+        self.bands = [layout.subband(j) for j in range(1, layout.n_filters + 1)]
+        self._windows = [hamming_window(hi - lo + 1) if taper else None for lo, hi in self.bands]
+        self._block = np.empty((block_frames, layout.n_bins))
+        self._filled = 0
+        self._folded = 0
+        self._means = [np.zeros(hi - lo + 1) for lo, hi in self.bands]
+        self._scatters = [np.zeros((hi - lo + 1, hi - lo + 1)) for lo, hi in self.bands]
+
+    @property
+    def n_frames(self) -> int:
+        return self._folded + self._filled
+
+    def add(self, log_specs: np.ndarray) -> None:
+        """Add log spectra, one frame per row."""
+        log_specs = np.atleast_2d(np.asarray(log_specs, dtype=np.float64))
+        if log_specs.shape[1] != self.layout.n_bins:
+            raise ValueError("log spectra width must equal the layout bin count")
+        start = 0
+        while start < log_specs.shape[0]:
+            take = min(log_specs.shape[0] - start, self._block.shape[0] - self._filled)
+            self._block[self._filled : self._filled + take] = log_specs[start : start + take]
+            self._filled += take
+            start += take
+            if self._filled == self._block.shape[0]:
+                self._fold()
+
+    def _fold(self) -> None:
+        rows = self._block[: self._filled]
+        n_a, n_b = self._folded, self._filled
+        n = n_a + n_b
+        for j, ((lo, hi), window) in enumerate(zip(self.bands, self._windows)):
+            sliced = rows[:, lo : hi + 1]
+            if window is not None:
+                sliced = sliced * window
+            mean, scatter = _scatter(sliced)
+            if n_a == 0:
+                self._means[j], self._scatters[j] = mean, scatter
+                continue
+            delta = mean - self._means[j]
+            self._means[j] = self._means[j] + delta * (n_b / n)
+            self._scatters[j] = self._scatters[j] + scatter + np.outer(delta, delta) * (n_a * n_b / n)
+        self._folded = n
+        self._filled = 0
+
+    def covariance(self, j: int) -> np.ndarray:
+        """Sample covariance of filter j's subband (1-based)."""
+        if self.n_frames < 2:
+            raise ValueError("need >=2 frames")
+        if self._filled:
+            self._fold()
+        return self._scatters[j - 1] / (self._folded - 1)
 
 
 def pca_first_basis(s: np.ndarray) -> np.ndarray:
@@ -180,20 +254,22 @@ def learn_pca_filterbank(
 
     Degenerate (zero-variance) subbands fall back to the triangular response.
     """
-    log_specs = np.atleast_2d(np.asarray(log_specs, dtype=np.float64))
-    if normalize and not taper:
+    stats = SubbandStatistics(layout, taper)
+    stats.add(log_specs)
+    return pca_filterbank(stats, normalize)
+
+
+def pca_filterbank(stats: SubbandStatistics, normalize: bool = False) -> Filterbank:
+    """learn_pca_filterbank from the subband statistics of a corpus."""
+    if normalize and not stats.taper:
         raise ValueError("normalization is only defined for the windowed variant")
-    if log_specs.shape[1] != layout.n_bins:
-        raise ValueError("log spectra width must equal the layout bin count")
-    if log_specs.shape[0] < 2:
+    if stats.n_frames < 2:
         raise ValueError("need >=2 frames")
+    layout = stats.layout
     responses = np.zeros((layout.n_filters, layout.n_bins))
-    for j in range(1, layout.n_filters + 1):
-        lo, hi = layout.subband(j)
-        window = hamming_window(hi - lo + 1) if taper else None
-        cov, _ = subband_covariance(log_specs, (lo, hi), window)
+    for j, (lo, hi) in enumerate(stats.bands, start=1):
         try:
-            basis = pca_first_basis(cov)
+            basis = pca_first_basis(stats.covariance(j))
         except ValueError:
             logger.warning("degenerate subband for filter %d; using triangular shape", j)
             responses[j - 1] = _triangle(layout, j)
@@ -201,7 +277,7 @@ def learn_pca_filterbank(
         responses[j - 1, lo : hi + 1] = basis
     if normalize:
         responses = responses / responses.max(axis=1, keepdims=True)
-    if taper:
+    if stats.taper:
         kind = "windowed-pca-normalized" if normalize else "windowed-pca"
     else:
         kind = "pca"

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,10 +32,17 @@ class ModelKindError(ValueError):
 
 
 def _atomic_write(path: str | Path, data: bytes):
+    """Write to a temporary file of this writer's own, then rename it over `path`."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode as open() gives it
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --- WAV ---------------------------------------------------------------------

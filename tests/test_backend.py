@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,15 @@ from warpfilt.backend import (
     GmmModel,
     Trial,
     TrialScoreSet,
+    _logsumexp,
+    component_log_densities,
     det_curve,
     eer,
     fuse_scores,
     log_likelihoods,
     map_adapt_means,
     min_dcf,
+    score_segment,
     score_trial,
     train_ubm,
 )
@@ -304,3 +309,81 @@ class TestGmmModelValidation:
     def test_log_likelihoods_shape(self):
         model = GmmModel(np.array([0.5, 0.5]), np.zeros((2, 3)), np.ones((2, 3)))
         assert log_likelihoods(model, np.zeros((7, 3))).shape == (7,)
+
+
+def loop_log_densities(model, x):
+    """Per-component reference: the diagonal quadratic form, one component at a time."""
+    out = np.empty((x.shape[0], model.n_components))
+    for c in range(model.n_components):
+        diff = x - model.means[c]
+        out[:, c] = -0.5 * (
+            model.dim * np.log(2.0 * np.pi)
+            + np.log(model.variances[c]).sum()
+            + (diff * diff / model.variances[c]).sum(axis=1)
+        )
+    return out
+
+
+def random_gmm(rng, c, d):
+    weights = rng.uniform(0.5, 1.5, size=c)
+    return GmmModel(
+        weights / weights.sum(),
+        rng.normal(0.0, 2.0, size=(c, d)),
+        rng.uniform(0.05, 3.0, size=(c, d)),
+    )
+
+
+class TestBatchedBackend:
+    @pytest.mark.parametrize("c", [1, 3, 16])
+    @pytest.mark.parametrize("d", [1, 57])
+    def test_log_densities_match_component_loop(self, c, d):
+        rng = np.random.default_rng(100 + c * d)
+        model = random_gmm(rng, c, d)
+        x = rng.normal(0.0, 3.0, size=(400, d))
+        np.testing.assert_allclose(
+            component_log_densities(model, x), loop_log_densities(model, x), rtol=1e-10, atol=0
+        )
+
+    def test_logsumexp_matches_scipy(self):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(12)
+        a = rng.normal(-60.0, 20.0, size=(300, 16))
+        dominant = rng.normal(0.0, 1.0, size=(50, 16))
+        dominant[:, 0] = 0.0
+        dominant[:, 1:] -= 45.0  # every other term is below e^-40 of the first
+        tied = np.zeros((3, 4))
+        single = rng.normal(size=(5, 1))
+        for rows in (a, dominant, dominant - 800.0, tied, single):
+            np.testing.assert_allclose(_logsumexp(rows), logsumexp(rows, axis=1), rtol=1e-12, atol=0)
+        assert np.all(_logsumexp(dominant) > 0.0)  # the small terms are not lost next to exp(0)
+
+    def test_score_segment_equals_score_trial(self):
+        rng = np.random.default_rng(13)
+        ubm, _ = train_ubm(rng.normal(size=(400, 4)), 4, iters=3, seed=0)
+        models = [map_adapt_means(ubm, rng.normal(m, 1.0, size=(60, 4))) for m in (-1.0, 0.0, 2.0)]
+        models.append(ubm)
+        test = feature_matrix(rng.normal(size=(70, 4)))
+        scores = score_segment(models, ubm, test)
+        assert scores == [score_trial(m, ubm, test) for m in models]
+        assert scores[-1] == 0.0
+
+    def test_score_segment_validates(self):
+        ubm = GmmModel(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
+        other = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="dimensions"):
+            score_segment([ubm, other], ubm, feature_matrix(np.zeros((5, 3))))
+        with pytest.raises(ValueError, match="no speech frames"):
+            score_segment([ubm], ubm, FeatureMatrix(np.zeros((5, 3)), np.zeros(5, dtype=bool)))
+
+    def test_train_ubm_memory_does_not_grow_with_frames_times_components(self):
+        n, c, d = 20000, 32, 10
+        x = np.random.default_rng(14).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            train_ubm(x, c, iters=1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A full N x C x D float64 array alone is 51 MB here; EM itself needs a few N x C arrays.
+        assert peak < 24 * 2**20, f"train_ubm allocated {peak / 2**20:.1f} MiB"

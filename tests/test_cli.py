@@ -128,6 +128,18 @@ class TestLearnFilterbank:
         norm = np.asarray(payloads["wpca-norm"]["responses"])
         assert np.allclose(norm.max(axis=1), 1.0, atol=1e-12)
 
+    def test_filterbank_identical_across_jobs(self, capsys, small_corpus, pipeline, tmp_path):
+        payloads = []
+        for jobs in (1, 3):
+            rc, _, _ = run(
+                capsys, "learn-filterbank", "--manifest", small_corpus["manifest"],
+                "--scale-doc", pipeline / "scale.json", "--out", tmp_path / f"fb{jobs}.json",
+                "--shape", "wpca-norm", "--jobs", jobs,
+            )
+            assert rc == 0
+            payloads.append(load_model(tmp_path / f"fb{jobs}.json").payload)
+        assert payloads[0] == payloads[1]
+
 
 class TestExtract:
     def test_outputs_and_summary(self, capsys, small_corpus, pipeline, tmp_path):
@@ -231,6 +243,25 @@ class TestAsvCommands:
         assert cols[:, 3:5].tobytes() == expected.tobytes()
 
 
+class TestScoreJobs:
+    def test_scores_byte_identical_across_jobs(self, capsys, small_corpus, pipeline, tmp_path):
+        common = [
+            "score", "--trials", small_corpus["trials"], "--models", pipeline / "models",
+            "--ubm", pipeline / "ubm.json", "--features", pipeline / "feats",
+        ]
+        for jobs in (1, 3):
+            rc, _, _ = run(capsys, *common, "--jobs", jobs, "--out", tmp_path / f"scores{jobs}.tsv")
+            assert rc == 0
+        one = (tmp_path / "scores1.tsv").read_bytes()
+        assert one == (tmp_path / "scores3.tsv").read_bytes()
+        assert one == (pipeline / "scores.tsv").read_bytes()
+
+    def test_scores_in_trial_list_order(self, pipeline, small_corpus):
+        listed = [line.split()[:2] for line in small_corpus["trials"].read_text().strip().splitlines()]
+        written = [list(t.key) for t in read_scores(pipeline / "scores.tsv").trials]
+        assert written == listed
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         rc, _, err = run(capsys, "learn-scale")  # missing required flags
@@ -284,6 +315,23 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_backend_commands_load_no_scipy(self, small_corpus, pipeline, tmp_path):
+        feats, ubm = str(pipeline / "feats"), str(tmp_path / "ubm.json")
+        runs = [
+            ["train-ubm", "--features", feats, "--out", ubm, "--ubm-components", "4", "--em-iters", "2"],
+            ["enroll", "--manifest", str(small_corpus["enroll"]), "--features", feats, "--ubm", ubm,
+             "--out", str(tmp_path / "models")],
+            ["score", "--trials", str(small_corpus["trials"]), "--models", str(tmp_path / "models"),
+             "--ubm", ubm, "--features", feats, "--out", str(tmp_path / "scores.tsv")],
+        ]
+        script = (
+            "import json, sys; from warpfilt.cli import main; "
+            "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1])); " + self.SCIPY_MODULES
+        )
+        proc = python_child("-c", script, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
 
 class TestRunConfig:
     def test_defaults_match_paper_recipe(self):
@@ -312,3 +360,43 @@ class TestRunConfig:
             RunConfig(scale="bark")
         with pytest.raises(ValueError):
             RunConfig(subsample_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"n_filters": "20"}', "field 'n_filters' must be int, got str"),
+            ('{"em_iters": true}', "field 'em_iters' must be int, got bool"),
+            ('{"preemph": "0.97"}', "field 'preemph' must be float, got str"),
+            ('{"rasta_enabled": 1}', "field 'rasta_enabled' must be bool, got int"),
+            ('{"scale": null}', "field 'scale' must be str, got NoneType"),
+            ('{"jobs": 2.0}', "field 'jobs' must be int, got float"),
+        ],
+    )
+    def test_file_value_types_checked(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_config(path, {})
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"frame_ms": 25, "relevance": 16}')
+        cfg = load_config(path, {})
+        assert (cfg.frame_ms, cfg.relevance) == (25, 16)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["learn-filterbank", "--scale-doc", "scale.json", "--shape", "tri"], '{"n_filters": "20"}'),
+            (["train-ubm", "--features", "feats", "--ubm-components", "2"], '{"em_iters": true}'),
+        ],
+    )
+    def test_mistyped_config_exits_2_with_one_line(self, pipeline, tmp_path, command, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        command = [str(pipeline / a) if a in ("scale.json", "feats") else a for a in command]
+        proc = python_child("-m", "warpfilt.cli", *command, "--out", tmp_path / "out.json", "--config", path)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: field '")

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from warpfilt.dsp import hamming_window
 from warpfilt.filterbank import (
     FilterbankLayout,
+    SubbandStatistics,
     learn_pca_filterbank,
+    pca_filterbank,
     pca_first_basis,
     place_filter_edges,
     subband_covariance,
@@ -234,3 +237,85 @@ class TestLearnPcaFilterbank:
         layout = toy_layout()
         with pytest.raises(ValueError):
             learn_pca_filterbank(np.zeros((5, layout.n_bins)), layout, taper=False, normalize=True)
+
+
+def mel_layout():
+    return place_filter_edges(mel_warping_scale(8000.0), 20, 512, 16000)
+
+
+class TestSubbandStatistics:
+    @pytest.mark.parametrize("taper", [False, True])
+    def test_one_block_equals_subband_covariance(self, taper):
+        layout = mel_layout()
+        log_specs = np.random.default_rng(20).normal(size=(300, layout.n_bins))
+        stats = SubbandStatistics(layout, taper)
+        stats.add(log_specs[:120])
+        stats.add(log_specs[120:])
+        for j in range(1, layout.n_filters + 1):
+            lo, hi = layout.subband(j)
+            window = hamming_window(hi - lo + 1) if taper else None
+            expected, _ = subband_covariance(log_specs, (lo, hi), window)
+            assert np.array_equal(stats.covariance(j), expected)
+
+    @pytest.mark.parametrize("taper", [False, True])
+    def test_blocks_match_two_pass(self, taper):
+        # Far-off-zero means and uneven blocks: the pairwise merge must not lose digits.
+        layout = mel_layout()
+        log_specs = 50.0 + np.random.default_rng(21).normal(size=(1000, layout.n_bins))
+        stats = SubbandStatistics(layout, taper, block_frames=7)
+        stats.add(log_specs)
+        for j in range(1, layout.n_filters + 1):
+            lo, hi = layout.subband(j)
+            window = hamming_window(hi - lo + 1) if taper else None
+            expected, _ = subband_covariance(log_specs, (lo, hi), window)
+            np.testing.assert_allclose(stats.covariance(j), expected, rtol=1e-12, atol=1e-13)
+
+    def test_independent_of_batch_split(self):
+        layout = mel_layout()
+        log_specs = np.random.default_rng(22).normal(size=(500, layout.n_bins))
+        whole = SubbandStatistics(layout, True, block_frames=64)
+        whole.add(log_specs)
+        pieces = SubbandStatistics(layout, True, block_frames=64)
+        for piece in np.split(log_specs, [1, 3, 70, 200, 201, 455]):
+            pieces.add(piece)
+        assert whole.n_frames == pieces.n_frames == 500
+        for j in range(1, layout.n_filters + 1):
+            assert np.array_equal(whole.covariance(j), pieces.covariance(j))
+
+    def test_filterbank_from_blocks_matches_whole_array(self):
+        layout = mel_layout()
+        log_specs = np.random.default_rng(23).normal(size=(800, layout.n_bins)) * np.linspace(1.0, 2.0, layout.n_bins)
+        stats = SubbandStatistics(layout, True, block_frames=100)
+        stats.add(log_specs)
+        blocked = pca_filterbank(stats, normalize=True)
+        whole = learn_pca_filterbank(log_specs, layout, taper=True, normalize=True)
+        assert blocked.shape_kind == whole.shape_kind == "windowed-pca-normalized"
+        np.testing.assert_allclose(blocked.responses, whole.responses, atol=1e-9)
+
+    def test_memory_holds_one_block(self):
+        layout = mel_layout()
+        rng = np.random.default_rng(24)
+        stats = SubbandStatistics(layout, True, block_frames=1024)
+        tracemalloc.start()
+        try:
+            for _ in range(60):  # 24000 frames: 49 MB of log spectra if stacked
+                stats.add(rng.normal(size=(400, layout.n_bins)))
+            pca_filterbank(stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"statistics allocated {peak / 2**20:.1f} MiB"
+
+    def test_validation(self):
+        layout = toy_layout()
+        stats = SubbandStatistics(layout)
+        with pytest.raises(ValueError, match="bin count"):
+            stats.add(np.zeros((3, layout.n_bins + 1)))
+        stats.add(np.zeros((1, layout.n_bins)))
+        with pytest.raises(ValueError, match="need >=2 frames"):
+            pca_filterbank(stats)
+        stats.add(np.ones((1, layout.n_bins)))
+        with pytest.raises(ValueError, match="windowed variant"):
+            pca_filterbank(stats, normalize=True)
+        with pytest.raises(ValueError, match="blocks need"):
+            SubbandStatistics(layout, block_frames=1)

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import stat
 import struct
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from warpfilt import store
 from warpfilt.backend import GmmModel, Trial, TrialScoreSet, det_curve, eer
 from warpfilt.dsp import AudioSegment
 from warpfilt.features import FeatureMatrix
@@ -320,3 +325,61 @@ class TestManifest:
         back = load_manifest(root / "m.json")
         assert back.entries[0].path.exists()
         assert load_wav(back.entries[0].path).sample_rate_hz == 16000
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temporary_and_keeps_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "model.json"
+        target.write_bytes(b"old contents\n")
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            store._atomic_write(target, b"new contents\n")
+        assert target.read_bytes() == b"old contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_stale_fixed_name_temporary_is_not_used(self, tmp_path):
+        target = tmp_path / "model.json"
+        stale = tmp_path / "model.json.tmp"
+        stale.write_bytes(b"another writer's half-written file")
+        store._atomic_write(target, b"contents\n")
+        assert target.read_bytes() == b"contents\n"
+        assert stale.read_bytes() == b"another writer's half-written file"
+
+    def test_permissions_follow_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            store._atomic_write(tmp_path / "a.bin", b"x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "a.bin").stat().st_mode) == 0o644
+
+    def test_concurrent_writers_to_one_path(self, tmp_path):
+        target = tmp_path / "model.json"
+        payloads = [f"writer {i}\n".encode() * 2000 for i in range(6)]
+        errors = []
+
+        def writer(data):
+            try:
+                for _ in range(40):
+                    store._atomic_write(target, data)
+            except OSError as err:
+                errors.append(err)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert target.read_bytes() in payloads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
