@@ -1,6 +1,15 @@
 """Data-driven filterbank learning, cepstral feature extraction, and desk-scale
 GMM-UBM speaker verification."""
 
+import os
+
+# One BLAS thread per process unless the caller chose a count. Every matrix
+# product here is small, so a second OpenBLAS thread only spins after each one
+# (and at numpy import), burning CPU for no speed-up; --jobs is the parallelism.
+# This must run before numpy is first imported, which fixes the thread count.
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .analysis import f_ratio, f_ratio_report
 from .backend import (
     COST_PRESETS,
@@ -47,7 +56,7 @@ from .filterbank import (
     subband_covariance,
     triangular_responses,
 )
-from .sad import PitchConfig, PitchTrack, bi_gaussian_sad, estimate_pitch, frame_log_energy, voiced_mask
+from .sad import PitchConfig, PitchTrack, bi_gaussian_sad, frame_log_energy, track_pitch, voiced_mask
 from .scale import (
     BandPartition,
     Ltas,

@@ -122,7 +122,12 @@ def next_pow2(n: int) -> int:
 
 
 def dct_ii_ortho(v: np.ndarray, n_out: int | None = None) -> np.ndarray:
-    """Orthonormal DCT-II along the last axis, truncated to the first n_out coefficients."""
+    """Orthonormal DCT-II along the last axis, truncated to the first n_out coefficients.
+
+    One product with the full q x q basis B[p, m] = s_p cos(pi p (m + 1/2) / q),
+    s_0 = sqrt(1/q) and s_p = sqrt(2/q) otherwise; sliced after the product, so a
+    truncated result equals the leading coefficients of the full one bit for bit.
+    """
     v = np.asarray(v, dtype=np.float64)
     q = v.shape[-1]
     if q < 1:
@@ -131,7 +136,6 @@ def dct_ii_ortho(v: np.ndarray, n_out: int | None = None) -> np.ndarray:
         n_out = q
     if not 1 <= n_out <= q:
         raise ValueError("n_out must be in [1, len(v)]")
-    import scipy.fft  # deferred: only feature extraction needs it, and it costs start-up time
-
-    c = scipy.fft.dct(v, type=2, norm="ortho", axis=-1)
-    return c[..., :n_out]
+    p = np.arange(q)[:, None]
+    basis = np.cos(np.pi * p * (np.arange(q) + 0.5) / q) * np.where(p == 0, np.sqrt(1.0 / q), np.sqrt(2.0 / q))
+    return (v @ basis.T)[..., :n_out]

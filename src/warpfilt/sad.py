@@ -1,8 +1,6 @@
 """Frame selection: bi-Gaussian energy SAD and autocorrelation pitch detection."""
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .dsp import PowerSpectrogram, next_pow2
@@ -15,13 +13,9 @@ VAR_FLOOR = 1e-10
 # shrinks, which would mark noise frames as voiced.
 MIN_OVERLAP = 48
 
-# A pitch estimator maps (frame, sample_rate_hz) to f0 in Hz or None when unvoiced.
-PitchEstimator = Callable[[np.ndarray, int], Optional[float]]
-
-
 @dataclass
 class PitchConfig:
-    """Search band and voicing decision threshold for the built-in estimator."""
+    """Search band and voicing decision threshold of the pitch tracker."""
 
     f_min_hz: float = 50.0
     f_max_hz: float = 400.0
@@ -170,57 +164,37 @@ def normalized_autocorrelation(frames: np.ndarray, lag_min: int, lag_max: int) -
     return r
 
 
-def _peak_lag(r: np.ndarray, lag_min: int) -> tuple[float, float]:
-    """Global peak value and the parabolically interpolated lag of the chosen peak.
+def _peak_lags(r: np.ndarray, lag_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: global peak value and the parabolically interpolated lag of the chosen peak.
 
-    Among local maxima within 2% of the global peak the shortest lag wins,
-    suppressing subharmonic (pitch-halving) errors on near-periodic frames.
+    Among local maxima (end lags included) within 2% of the row's global peak
+    the shortest lag wins, suppressing subharmonic (pitch-halving) errors on
+    near-periodic frames; a row without one falls back to its argmax.
     """
-    peak = float(r.max())
-    interior = np.flatnonzero((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])) + 1
-    cands = list(interior)
-    if r.size >= 2 and r[0] >= r[1]:
-        cands.insert(0, 0)
-    if r.size >= 2 and r[-1] >= r[-2]:
-        cands.append(r.size - 1)
-    strong = [i for i in cands if r[i] >= 0.98 * peak]
-    idx = strong[0] if strong else int(r.argmax())
-    lag = float(lag_min + idx)
-    if 0 < idx < r.size - 1:
-        denom = r[idx - 1] - 2.0 * r[idx] + r[idx + 1]
-        if abs(denom) > 1e-12:
-            delta = 0.5 * (r[idx - 1] - r[idx + 1]) / denom
-            lag += float(np.clip(delta, -0.5, 0.5))
+    n_lags = r.shape[1]
+    peak = r.max(axis=1)
+    local_max = np.zeros(r.shape, dtype=bool)
+    if n_lags >= 2:
+        local_max[:, 1:-1] = (r[:, 1:-1] >= r[:, :-2]) & (r[:, 1:-1] >= r[:, 2:])
+        local_max[:, 0] = r[:, 0] >= r[:, 1]
+        local_max[:, -1] = r[:, -1] >= r[:, -2]
+    strong = local_max & (r >= (0.98 * peak)[:, None])
+    idx = np.where(strong.any(axis=1), strong.argmax(axis=1), r.argmax(axis=1))
+    lag = (lag_min + idx).astype(np.float64)
+    rows = np.flatnonzero((idx > 0) & (idx < n_lags - 1))
+    i = idx[rows]
+    left, mid, right = r[rows, i - 1], r[rows, i], r[rows, i + 1]
+    denom = left - 2.0 * mid + right
+    curved = np.abs(denom) > 1e-12
+    delta = 0.5 * (left[curved] - right[curved]) / denom[curved]
+    lag[rows[curved]] += np.clip(delta, -0.5, 0.5)
     return peak, lag
-
-
-def estimate_pitch(
-    frame: np.ndarray,
-    sample_rate_hz: int,
-    f_min_hz: float = 50.0,
-    f_max_hz: float = 400.0,
-    voicing_threshold: float = 0.5,
-) -> float | None:
-    """Autocorrelation f0 estimate in Hz, or None when the frame is unvoiced."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if np.sum(frame * frame) <= ENERGY_EPS:
-        return None
-    lag_min = max(1, int(np.ceil(sample_rate_hz / f_max_hz)))
-    lag_max = min(int(np.floor(sample_rate_hz / f_min_hz)), frame.size - 1, frame.size - MIN_OVERLAP)
-    if lag_min > lag_max:
-        return None
-    r = normalized_autocorrelation(frame[None, :], lag_min, lag_max)[0]
-    peak, lag = _peak_lag(r, lag_min)
-    if peak < voicing_threshold:
-        return None
-    f0 = sample_rate_hz / lag
-    return float(np.clip(f0, f_min_hz, f_max_hz))
 
 
 def track_pitch(
     frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None
 ) -> PitchTrack:
-    """Built-in estimator applied to every frame of a frame matrix."""
+    """Autocorrelation f0 per frame of a frame matrix; unvoiced and silent frames get NaN."""
     cfg = cfg or PitchConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n_frames, n = frames.shape
@@ -230,35 +204,22 @@ def track_pitch(
     lag_max = min(int(np.floor(sample_rate_hz / cfg.f_min_hz)), n - 1, n - MIN_OVERLAP)
     if lag_min > lag_max:
         return PitchTrack(f0, score)
-    live = np.sum(frames * frames, axis=1) > ENERGY_EPS
-    if not live.any():
+    live = np.flatnonzero(np.sum(frames * frames, axis=1) > ENERGY_EPS)
+    if live.size == 0:
         return PitchTrack(f0, score)
     r = normalized_autocorrelation(frames[live], lag_min, lag_max)
-    live_idx = np.flatnonzero(live)
-    for row, i in enumerate(live_idx):
-        peak, lag = _peak_lag(r[row], lag_min)
-        score[i] = float(np.clip(peak, 0.0, 1.0))
-        if peak >= cfg.voicing_threshold:
-            f0[i] = np.clip(sample_rate_hz / lag, cfg.f_min_hz, cfg.f_max_hz)
+    peak, lag = _peak_lags(r, lag_min)
+    score[live] = np.clip(peak, 0.0, 1.0)
+    voiced = peak >= cfg.voicing_threshold
+    f0[live[voiced]] = np.clip(sample_rate_hz / lag[voiced], cfg.f_min_hz, cfg.f_max_hz)
     return PitchTrack(f0, score)
 
 
 def voiced_mask(
-    spec: PowerSpectrogram,
-    frames: np.ndarray,
-    sample_rate_hz: int,
-    cfg: PitchConfig | None = None,
-    estimator: PitchEstimator | None = None,
+    spec: PowerSpectrogram, frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None
 ) -> np.ndarray:
     """SAD mask AND pitch presence, per frame."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     if spec.n_frames != frames.shape[0]:
         raise ValueError("spectrogram and frame matrix disagree on frame count")
-    sad = bi_gaussian_sad(frame_log_energy(frames))
-    if estimator is None:
-        voiced = track_pitch(frames, sample_rate_hz, cfg).voiced
-    else:
-        voiced = np.array(
-            [estimator(frames[i], sample_rate_hz) is not None for i in range(frames.shape[0])]
-        )
-    return sad & voiced
+    return bi_gaussian_sad(frame_log_energy(frames)) & track_pitch(frames, sample_rate_hz, cfg).voiced

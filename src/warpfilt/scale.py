@@ -1,6 +1,7 @@
 """Frequency warping scales: LTAS statistics, equal-area partition, mel closed form."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,7 +184,7 @@ def _best_candidate_edges(cum: np.ndarray, q: int) -> np.ndarray:
         cands = {min(max(first + off, j - 1), k - 1 - (q - j)) for off in _CANDIDATE_OFFSETS}
         cands.add(int(greedy[j - 1]))
         cand_sets.append(sorted(cands))
-    n_combos = int(np.prod([len(c) for c in cand_sets], dtype=np.int64)) if cand_sets else 1
+    n_combos = math.prod(len(c) for c in cand_sets)  # Python ints: 4**(q-1) overflows int64
     if n_combos > _MAX_COMBOS:
         return _coordinate_descent(cum, greedy)
     combos = np.array(list(itertools.product(*cand_sets)), dtype=np.int64).reshape(n_combos, q - 1)

@@ -25,6 +25,7 @@ FEATURE_VERSION = 1
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_IEEE_FLOAT = 3
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 
 class ModelKindError(ValueError):
@@ -48,7 +49,11 @@ def _atomic_write(path: str | Path, data: bytes):
 # --- WAV ---------------------------------------------------------------------
 
 def load_wav(path: str | Path) -> AudioSegment:
-    """Read a mono RIFF/WAVE file (16-bit PCM or 32-bit IEEE float) scaled to [-1, 1]."""
+    """Read a mono RIFF/WAVE file (16-bit PCM or 32-bit IEEE float) scaled to [-1, 1].
+
+    A WAVE_FORMAT_EXTENSIBLE header is read by the format tag that starts its
+    sub-format GUID. Every error names the file.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise ValueError(f"{path}: not a RIFF/WAVE file")
@@ -65,6 +70,8 @@ def load_wav(path: str | Path) -> AudioSegment:
             if chunk_size < 16:
                 raise ValueError(f"{path}: malformed fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE and chunk_size >= 40:
+                fmt = struct.unpack("<H", body[24:26]) + fmt[1:]
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise ValueError(f"{path}: truncated data chunk")
@@ -77,17 +84,21 @@ def load_wav(path: str | Path) -> AudioSegment:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels != 1:
         raise ValueError(f"{path}: unsupported channel count {channels} (mono required)")
-    if audio_format == WAVE_FORMAT_PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    dtype = {(WAVE_FORMAT_PCM, 16): "<i2", (WAVE_FORMAT_IEEE_FLOAT, 32): "<f4"}.get((audio_format, bits))
+    if dtype is None:
         raise ValueError(
             f"{path}: unsupported codec (format tag {audio_format}, {bits} bits);"
             " need 16-bit PCM or 32-bit IEEE float"
         )
-    if samples.size == 0:
-        raise ValueError("empty signal")
+    if sample_rate == 0:
+        raise ValueError(f"{path}: sample rate must be positive")
+    if len(data) % (bits // 8):
+        raise ValueError(f"{path}: data chunk of {len(data)} bytes is not a multiple of {bits // 8}-byte samples")
+    if not data:
+        raise ValueError(f"{path}: empty signal")
+    samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    if audio_format == WAVE_FORMAT_PCM:
+        samples /= 32768.0
     return AudioSegment(samples, sample_rate, Path(path).stem)
 
 

@@ -24,10 +24,11 @@ def run(capsys, *args):
     return rc, out.out, out.err
 
 
-def python_child(*args):
-    """Run a Python child with this checkout's warpfilt importable."""
+def python_child(*args, env=None):
+    """Run a Python child with this checkout's warpfilt importable, in `env` or this environment."""
     src = str(Path(warpfilt.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
@@ -294,6 +295,28 @@ class TestExitCodes:
 
 class TestStartup:
     SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    # A BLAS-sized product after the package import, then the process's thread count.
+    THREADS_AFTER_MATMUL = (
+        "import os, warpfilt.cli, numpy as np; a = np.ones((2000, 300)); a @ a.T; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+
+    def _thread_count(self, **blas_env):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_THREAD_VARS}
+        proc = python_child("-c", self.THREADS_AFTER_MATMUL, env={**env, **blas_env})
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.strip())
+
+    def test_one_blas_thread_by_default(self):
+        assert self._thread_count() == 1
+
+    def test_caller_blas_thread_count_wins(self):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs at least 2 CPUs for a second BLAS thread")
+        assert self._thread_count(OPENBLAS_NUM_THREADS="2") == 2
 
     def test_import_loads_no_scipy(self):
         proc = python_child("-c", "import sys, warpfilt, warpfilt.cli; " + self.SCIPY_MODULES)
@@ -306,6 +329,7 @@ class TestStartup:
             ["learn-scale", "--manifest", m, "--out", s, "--scale", "speech-pitch"],
             ["learn-filterbank", "--manifest", m, "--scale-doc", s, "--out", fb, "--shape", "wpca-norm"],
             ["fratio", "--manifest", m, "--filterbanks", fb, fb],
+            ["extract", "--manifest", m, "--filterbank", fb, "--out", str(tmp_path / "feats")],
         ]
         script = (
             "import json, sys; from warpfilt.cli import main; "

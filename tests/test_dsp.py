@@ -159,6 +159,15 @@ class TestDctIIOrtho:
         v = np.random.default_rng(5).normal(size=10)
         assert np.array_equal(dct_ii_ortho(v, 3), dct_ii_ortho(v)[:3])
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 20, 40, 128])
+    def test_matches_scipy(self, q):
+        import scipy.fft
+
+        v = np.random.default_rng(q).normal(size=(7, q))
+        expected = scipy.fft.dct(v, type=2, norm="ortho", axis=-1)
+        assert np.abs(dct_ii_ortho(v) - expected).max() <= 1e-12
+        assert np.abs(dct_ii_ortho(v, min(q, 20)) - expected[:, : min(q, 20)]).max() <= 1e-12
+
 
 def test_next_pow2():
     assert [next_pow2(n) for n in (1, 2, 3, 320, 512)] == [1, 2, 4, 512, 512]

@@ -3,11 +3,13 @@ import pytest
 
 from warpfilt.dsp import hamming_window, power_spectrum
 from warpfilt.sad import (
+    ENERGY_EPS,
+    MIN_OVERLAP,
     PitchConfig,
     bi_gaussian_sad,
-    estimate_pitch,
     fit_two_gaussians,
     frame_log_energy,
+    normalized_autocorrelation,
     track_pitch,
     voiced_mask,
 )
@@ -18,6 +20,98 @@ def tone_frames(f0, sr, n_frames=60, frame_len=None):
     t = np.arange(n_frames * frame_len) / sr
     x = np.sin(2 * np.pi * f0 * t)
     return x.reshape(n_frames, frame_len)
+
+
+def reference_peak_lag(r, lag_min):
+    """One row at a time: the shortest-lag local maximum within 2% of the peak."""
+    peak = float(r.max())
+    interior = np.flatnonzero((r[1:-1] >= r[:-2]) & (r[1:-1] >= r[2:])) + 1
+    cands = list(interior)
+    if r.size >= 2 and r[0] >= r[1]:
+        cands.insert(0, 0)
+    if r.size >= 2 and r[-1] >= r[-2]:
+        cands.append(r.size - 1)
+    strong = [i for i in cands if r[i] >= 0.98 * peak]
+    idx = strong[0] if strong else int(r.argmax())
+    lag = float(lag_min + idx)
+    if 0 < idx < r.size - 1:
+        denom = r[idx - 1] - 2.0 * r[idx] + r[idx + 1]
+        if abs(denom) > 1e-12:
+            delta = 0.5 * (r[idx - 1] - r[idx + 1]) / denom
+            lag += float(np.clip(delta, -0.5, 0.5))
+    return peak, lag
+
+
+def reference_track(frames, sr, cfg):
+    """track_pitch with the peak pick done frame by frame in Python."""
+    n_frames, n = frames.shape
+    f0 = np.full(n_frames, np.nan)
+    score = np.zeros(n_frames)
+    lag_min = max(1, int(np.ceil(sr / cfg.f_max_hz)))
+    lag_max = min(int(np.floor(sr / cfg.f_min_hz)), n - 1, n - MIN_OVERLAP)
+    live = np.sum(frames * frames, axis=1) > ENERGY_EPS
+    if lag_min > lag_max or not live.any():
+        return f0, score
+    r = normalized_autocorrelation(frames[live], lag_min, lag_max)
+    for row, i in enumerate(np.flatnonzero(live)):
+        peak, lag = reference_peak_lag(r[row], lag_min)
+        score[i] = float(np.clip(peak, 0.0, 1.0))
+        if peak >= cfg.voicing_threshold:
+            f0[i] = np.clip(sr / lag, cfg.f_min_hz, cfg.f_max_hz)
+    return f0, score
+
+
+def mixed_frames(sr, seed):
+    """Tones, harmonic mixtures, noisy tones, noise, near-silence and silence."""
+    rng = np.random.default_rng(seed)
+    n = int(0.02 * sr)
+    t = np.arange(n) / sr
+    rows = []
+    for f0 in (55.0, 80.0, 120.0, 147.0, 200.0, 260.0, 333.0, 399.0):
+        rows.append(np.sin(2 * np.pi * f0 * t + rng.uniform(0, 2 * np.pi)))
+        rows.append(sum(rng.uniform(0.2, 1.0) * np.sin(2 * np.pi * h * f0 * t) for h in (1, 2, 3)))
+        rows.append(np.sin(2 * np.pi * f0 * t) + rng.uniform(0.05, 1.0) * rng.normal(size=n))
+        # Subharmonic structure: the chosen peak is not always the global one.
+        rows.append(np.sin(2 * np.pi * f0 * t) + 0.3 * np.sin(np.pi * f0 * t))
+    rows.extend(rng.uniform(-1, 1, size=(12, n)))
+    rows.extend(1e-5 * rng.normal(size=(4, n)))
+    rows.extend(np.zeros((3, n)))
+    rows.append(np.r_[np.zeros(n - 5), np.ones(5)])
+    return np.vstack(rows)
+
+
+class TestTrackPitchReference:
+    """The batched peak pick equals the frame-by-frame reference bit for bit."""
+
+    CONFIGS = [
+        PitchConfig(),
+        PitchConfig(f_min_hz=70.0, f_max_hz=300.0, voicing_threshold=0.3),
+        PitchConfig(f_min_hz=120.0, f_max_hz=250.0, voicing_threshold=0.8),
+        PitchConfig(f_min_hz=390.0, f_max_hz=400.0, voicing_threshold=0.0),  # 1 lag at 8 kHz
+        PitchConfig(f_min_hz=375.0, f_max_hz=400.0, voicing_threshold=0.1),  # 2 lags at 8 kHz
+        PitchConfig(f_min_hz=360.0, f_max_hz=400.0, voicing_threshold=0.2),  # 3 lags at 8 kHz
+        PitchConfig(f_min_hz=790.0, f_max_hz=800.0, voicing_threshold=0.0),  # 1 lag at 16 kHz
+        PitchConfig(f_min_hz=740.0, f_max_hz=800.0, voicing_threshold=0.1),  # 2 lags at 16 kHz
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.f_min_hz:g}-{c.f_max_hz:g}-{c.voicing_threshold:g}")
+    @pytest.mark.parametrize("sr", [8000, 16000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_to_per_frame_reference(self, cfg, sr, seed):
+        frames = mixed_frames(sr, seed)
+        track = track_pitch(frames, sr, cfg)
+        f0, score = reference_track(frames, sr, cfg)
+        assert track.f0_hz.tobytes() == f0.tobytes()
+        assert track.voicing_score.tobytes() == score.tobytes()
+
+    @pytest.mark.parametrize("n_lags", [1, 2, 3])
+    def test_short_lag_ranges_from_short_frames(self, n_lags):
+        frames = mixed_frames(8000, 2)[:, : MIN_OVERLAP + 20 + n_lags - 1]
+        cfg = PitchConfig(f_min_hz=50.0, f_max_hz=400.0, voicing_threshold=0.0)
+        track = track_pitch(frames, 8000, cfg)
+        f0, score = reference_track(frames, 8000, cfg)
+        assert track.f0_hz.tobytes() == f0.tobytes()
+        assert track.voicing_score.tobytes() == score.tobytes()
 
 
 class TestFrameLogEnergy:
@@ -64,18 +158,25 @@ class TestBiGaussianSad:
         assert np.all(np.diff(history) >= -1e-8)
 
 
+def one_frame_f0(frame, sr):
+    """f0 of a single frame through the frame-matrix tracker; NaN when unvoiced."""
+    return track_pitch(np.asarray(frame)[None, :], sr).f0_hz[0]
+
+
 class TestEstimatePitch:
+    """Single-frame f0 estimates: track_pitch on one-row frame matrices."""
+
     def test_200hz_sine_at_8k(self):
         frame = np.sin(2 * np.pi * 200 * np.arange(320) / 8000)
-        f0 = estimate_pitch(frame, 8000)
-        assert f0 is not None and abs(f0 - 200.0) <= 2.0
+        f0 = one_frame_f0(frame, 8000)
+        assert np.isfinite(f0) and abs(f0 - 200.0) <= 2.0
 
     def test_zero_frame_absent(self):
-        assert estimate_pitch(np.zeros(320), 16000) is None
+        assert np.isnan(one_frame_f0(np.zeros(320), 16000))
 
     def test_noise_absent(self):
         absent = sum(
-            estimate_pitch(np.random.default_rng(s).uniform(-1, 1, 320), 16000) is None
+            np.isnan(one_frame_f0(np.random.default_rng(s).uniform(-1, 1, 320), 16000))
             for s in range(100)
         )
         assert absent >= 99
@@ -84,22 +185,22 @@ class TestEstimatePitch:
     @pytest.mark.parametrize("sr", [8000, 16000])
     def test_tone_accuracy(self, f0, sr):
         frame = np.sin(2 * np.pi * f0 * np.arange(int(0.02 * sr)) / sr)
-        est = estimate_pitch(frame, sr)
-        assert est is not None
+        est = one_frame_f0(frame, sr)
+        assert np.isfinite(est)
         assert abs(est - f0) / f0 <= 0.02
 
     @pytest.mark.parametrize("gain", [0.25, 2.0, 1024.0])
     def test_amplitude_invariance(self, gain):
         rng = np.random.default_rng(9)
         frame = np.sin(2 * np.pi * 140 * np.arange(320) / 16000) + 0.05 * rng.normal(size=320)
-        assert estimate_pitch(frame, 16000) == estimate_pitch(gain * frame, 16000)
+        assert np.array_equal(one_frame_f0(frame, 16000), one_frame_f0(gain * frame, 16000), equal_nan=True)
 
     def test_track_matches_per_frame(self):
         frames = tone_frames(150.0, 16000, n_frames=12)
         track = track_pitch(frames, 16000)
-        singles = [estimate_pitch(f, 16000) for f in frames]
+        singles = [one_frame_f0(f, 16000) for f in frames]
         for got, expect in zip(track.f0_hz, singles):
-            if expect is None:
+            if np.isnan(expect):
                 assert np.isnan(got)
             else:
                 assert got == pytest.approx(expect, abs=1e-9)
@@ -129,13 +230,6 @@ class TestVoicedMask:
         sad = bi_gaussian_sad(frame_log_energy(frames))
         mask = voiced_mask(self._spec(frames, 16000), frames, 16000)
         assert not np.any(mask & ~sad)
-
-    def test_pluggable_estimator(self):
-        frames = np.vstack([tone_frames(150.0, 16000, n_frames=10), np.zeros((2, 320))])
-        always_200 = lambda frame, sr: 200.0
-        mask = voiced_mask(self._spec(frames, 16000), frames, 16000, estimator=always_200)
-        sad = bi_gaussian_sad(frame_log_energy(frames))
-        assert np.array_equal(mask, sad)
 
     def test_frame_count_mismatch(self):
         frames = tone_frames(150.0, 16000, n_frames=12)

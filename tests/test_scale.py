@@ -1,7 +1,14 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import warpfilt
 
 from warpfilt.dsp import PowerSpectrogram, hamming_window, power_spectrum
 from warpfilt.sad import bi_gaussian_sad, frame_log_energy, voiced_mask
@@ -129,6 +136,29 @@ class TestPartition:
             spread = part.areas.max() - part.areas.min()
             assert spread <= areas_vec.max() + 1e-9
             assert spread <= brute_force_spread(areas_vec, q) + areas_vec.max() + 1e-9
+
+    @pytest.mark.parametrize("q", [40, 128])
+    def test_many_bands_within_memory(self, q):
+        # The candidate count of a speech-like slope is 4**(q-1): at q >= 33 it
+        # wraps to 0 in int64, which once sent the search into an exhaustive
+        # product that exhausts memory. A child under a 1.5 GB address-space
+        # limit fails instead of taking the machine's memory.
+        script = (
+            "import json, resource, sys; import numpy as np; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20)); "
+            "from warpfilt.scale import partition_areas; "
+            "p = partition_areas(np.log1p(1000.0 / (1.0 + np.arange(257))), int(sys.argv[1])); "
+            "print(json.dumps(p.bands))"
+        )
+        src = str(Path(warpfilt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(q)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        bands = json.loads(proc.stdout)
+        assert len(bands) == q and bands[0][0] == 0 and bands[-1][1] == 256
+        assert all(lo <= hi and hi + 1 == nxt for (lo, hi), (nxt, _) in zip(bands, bands[1:] + [[257, 0]]))
 
     def test_each_band_at_least_one_bin(self):
         values = np.concatenate([np.full(3, 1e6), np.full(5, 1e-6)])

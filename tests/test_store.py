@@ -50,6 +50,23 @@ def pcm16_bytes(samples, sr=16000):
     return header + payload
 
 
+def riff_bytes(fmt_body, payload):
+    """A RIFF/WAVE file of one fmt chunk and one data chunk (padded to even length)."""
+    raw = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+    raw += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
+    return b"RIFF" + struct.pack("<I", len(raw)) + raw
+
+
+def extensible_fmt(sub_format, bits, sr=16000, size=40):
+    """WAVE_FORMAT_EXTENSIBLE fmt body; the sub-format GUID starts with the format tag."""
+    guid = struct.pack("<H", sub_format) + bytes.fromhex("000000001000800000aa00389b71")
+    body = struct.pack("<HHIIHH", 0xFFFE, 1, sr, sr * bits // 8, bits // 8, bits)
+    return (body + struct.pack("<HHI", 22, bits, 4) + guid)[:size]
+
+
+PCM16_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
 class TestWav:
     def test_pcm16_scaling(self, tmp_path):
         path = tmp_path / "a.wav"
@@ -106,6 +123,43 @@ class TestWav:
         path.write_bytes(raw[:-4])
         with pytest.raises(ValueError, match="truncated"):
             load_wav(path)
+
+    def test_extensible_pcm16(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff_bytes(extensible_fmt(1, 16, sr=8000), np.array([0, 16384, -32768], "<i2").tobytes()))
+        seg = load_wav(path)
+        assert seg.sample_rate_hz == 8000
+        assert np.array_equal(seg.samples, [0.0, 0.5, -1.0])
+
+    def test_extensible_float32(self, tmp_path):
+        samples = np.array([0.25, -0.5, 1.0], dtype="<f4")
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff_bytes(extensible_fmt(3, 32), samples.tobytes()))
+        assert np.array_equal(load_wav(path).samples, samples.astype(np.float64))
+
+    @pytest.mark.parametrize("sub_format, bits, size", [(1, 24, 40), (3, 16, 40), (2, 16, 40), (1, 16, 18)])
+    def test_extensible_unsupported(self, tmp_path, sub_format, bits, size):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff_bytes(extensible_fmt(sub_format, bits, size=size), b"\x00" * 12))
+        with pytest.raises(ValueError, match="unsupported codec"):
+            load_wav(path)
+
+    @pytest.mark.parametrize(
+        "fmt_body, payload, message",
+        [
+            (PCM16_FMT, b"", "empty signal"),
+            (PCM16_FMT, b"\x01\x00\x07", "multiple of 2"),
+            (struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16), b"\x01\x00", "sample rate"),
+            (extensible_fmt(3, 32), b"\x00" * 6, "multiple of 4"),
+        ],
+        ids=["empty", "odd-pcm16", "zero-rate", "ragged-float32"],
+    )
+    def test_errors_name_the_file(self, tmp_path, fmt_body, payload, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff_bytes(fmt_body, payload))
+        with pytest.raises(ValueError) as info:
+            load_wav(path)
+        assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
     def test_not_riff(self, tmp_path):
         path = tmp_path / "n.wav"
