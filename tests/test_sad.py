@@ -230,6 +230,7 @@ class TestVoicedMask:
         sad = bi_gaussian_sad(frame_log_energy(frames))
         mask = voiced_mask(self._spec(frames, 16000), frames, 16000)
         assert not np.any(mask & ~sad)
+        assert np.array_equal(mask, sad & track_pitch(frames, 16000).voiced)
 
     def test_frame_count_mismatch(self):
         frames = tone_frames(150.0, 16000, n_frames=12)
