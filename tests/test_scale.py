@@ -139,10 +139,10 @@ class TestPartition:
 
     @pytest.mark.parametrize("q", [40, 128])
     def test_many_bands_within_memory(self, q):
-        # The candidate count of a speech-like slope is 4**(q-1): at q >= 33 it
-        # wraps to 0 in int64, which once sent the search into an exhaustive
-        # product that exhausts memory. A child under a 1.5 GB address-space
-        # limit fails instead of taking the machine's memory.
+        # On a speech-like slope the candidate count exceeds 2**64 from q = 33;
+        # counted in int64 it wraps to 0, passes the enumeration cap and the
+        # exhaustive product exhausts memory. The child's 1.5 GB address-space
+        # limit turns that into a failure instead of taking the machine's memory.
         script = (
             "import json, resource, sys; import numpy as np; "
             "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20)); "
