@@ -2,6 +2,7 @@
 F-ratio analysis, and GMM-UBM verification with DET/EER/minDCF reporting."""
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import logging
@@ -27,6 +28,13 @@ SHAPE_FLAGS = {"tri": "triangular", "pca": "pca", "wpca": "windowed-pca", "wpca-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# glibc mallopt parameters (malloc.h) and the values main() gives them: 32 MiB
+# is glibc's own ceiling for its dynamic mmap threshold on 64-bit.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 @dataclass
@@ -63,6 +71,9 @@ class RunConfig:
             raise ValueError(f"unknown cost preset {self.cost_preset!r}")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1]")
+        for name in ("jobs", "ubm_components", "em_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -122,6 +133,30 @@ def _setup_logging():
         level=levels.get(level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+def _keep_freed_memory():
+    """Keep memory that numpy frees on the heap instead of returning it to the kernel.
+
+    glibc unmaps a freed block above its dynamic mmap threshold, and trims a
+    heap top above its trim threshold, so the next temporary of the same size
+    is faulted back in page by page: most of a subcommand's system time. Pinning
+    both thresholds high lets same-sized temporaries reuse the freed pages. A
+    caller who set glibc's own malloc settings keeps them. Only the command-line
+    entry point does this: a library import must not change the host process's
+    allocator.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if any(k.startswith("MALLOC_") for k in os.environ) or "glibc.malloc." in tunables:
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or not glibc
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def _map_ordered(fn, items, jobs: int):
@@ -312,25 +347,32 @@ def cmd_fratio(args) -> int:
     if len(speakers) < 2:
         raise ValueError("manifest needs speaker_ids for at least two speakers")
     fc = cfg.feature_config()
-    variants = {}
-    for doc_path in args.filterbanks:
-        fb = store.filterbank_from_document(store.load_model(doc_path, expect_kind="filterbank"))
-        groups = {}
-        for speaker, entries in speakers.items():
-            def one(entry):
-                try:
-                    seg = _load_segment(entry, manifest.sample_rate_hz)
-                    spec, frames = utterance_spectra(seg, fc)
-                    mask = sad.bi_gaussian_sad(sad.frame_log_energy(frames))
-                    return filterbank_log_energies(spec, fb)[mask]
-                except ValueError as err:
-                    raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
+    fbs = [
+        store.filterbank_from_document(store.load_model(doc_path, expect_kind="filterbank"))
+        for doc_path in args.filterbanks
+    ]
 
-            groups[speaker] = np.vstack(list(_map_ordered(one, entries, cfg.jobs)))
+    # One front-end pass per utterance, shared by every filterbank.
+    def one(entry):
+        try:
+            seg = _load_segment(entry, manifest.sample_rate_hz)
+            spec, frames = utterance_spectra(seg, fc)
+            mask = sad.bi_gaussian_sad(sad.frame_log_energy(frames))
+            return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
+        except ValueError as err:
+            raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
+
+    groups = [{} for _ in fbs]
+    for speaker, entries in speakers.items():
+        per_utterance = list(_map_ordered(one, entries, cfg.jobs))
+        for i, group in enumerate(groups):
+            group[speaker] = np.vstack([energies[i] for energies in per_utterance])
+    variants = {}
+    for doc_path, group in zip(args.filterbanks, groups):
         label = Path(doc_path).stem
         if label in variants:
             label = f"{label}#{sum(1 for v in variants if v.split('#')[0] == label) + 1}"
-        variants[label] = groups
+        variants[label] = group
     report = analysis.f_ratio_report(variants)
     print(report.to_text())
     if args.out is not None:
@@ -413,8 +455,11 @@ def cmd_score(args) -> int:
         by_test.setdefault(t.test_id, []).append(i)
 
     def one(test_id):
-        models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]
-        return backend.score_segment(models, ubm, store.read_features(feature_files[test_id]))
+        try:
+            models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]
+            return backend.score_segment(models, ubm, store.read_features(feature_files[test_id]))
+        except ValueError as err:
+            raise ValueError(f"test segment {test_id}: {err}") from err
 
     scores = {}
     for test_id, values in zip(by_test, _map_ordered(one, list(by_test), cfg.jobs)):
@@ -481,7 +526,7 @@ def _add_common(p, *, jobs=True, seed=True):
     if seed:
         p.add_argument("--seed", type=int, help="random seed (default 0)")
     if jobs:
-        p.add_argument("--jobs", type=int, help="parallel workers over utterances or test segments")
+        p.add_argument("--jobs", type=int, help="parallel workers over utterances or test segments (>= 1, default 1)")
     p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
 
 
@@ -560,6 +605,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     _setup_logging()
     parser = _build_parser()
     try:

@@ -71,7 +71,10 @@ def pre_emphasize(x: AudioSegment, alpha: float = 0.97) -> AudioSegment:
 
 
 def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> tuple[FrameGrid, np.ndarray]:
-    """Slice a signal into overlapping frames; trailing partial frames are dropped."""
+    """Slice a signal into overlapping frames; trailing partial frames are dropped.
+
+    The frames are a read-only strided view of the samples, not a copy.
+    """
     if not 0.0 < hop_ms <= frame_ms:
         raise ValueError("require frame_ms >= hop_ms > 0")
     frame_len = int(round(x.sample_rate_hz * frame_ms / 1000.0))
@@ -80,10 +83,8 @@ def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> tuple[Frame
         raise ValueError("frame and hop must span at least one sample")
     if len(x) < frame_len:
         raise ValueError("too short")
-    n_frames = 1 + (len(x) - frame_len) // hop
-    offsets = np.arange(n_frames) * hop
-    idx = offsets[:, None] + np.arange(frame_len)[None, :]
-    return FrameGrid(frame_len, hop, n_frames), x.samples[idx]
+    frames = np.lib.stride_tricks.sliding_window_view(x.samples, frame_len)[::hop]
+    return FrameGrid(frame_len, hop, frames.shape[0]), frames
 
 
 def hamming_window(n: int) -> np.ndarray:

@@ -1,5 +1,7 @@
+import ctypes
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,17 @@ import numpy as np
 import pytest
 
 import warpfilt
+from warpfilt import store
 from warpfilt.cli import RunConfig, load_config, main
+from warpfilt.features import FeatureMatrix
 from warpfilt.store import (
     CorpusManifest,
+    load_manifest,
     load_model,
     read_features,
     read_scores,
     save_manifest,
+    write_features,
 )
 
 
@@ -54,6 +60,14 @@ def pipeline(tmp_path_factory, small_corpus):
     assert main(["enroll", "--manifest", str(small_corpus["enroll"]), "--features", str(art / "feats"), "--ubm", str(art / "ubm.json"), "--out", str(art / "models")]) == 0
     assert main(["score", "--trials", str(small_corpus["trials"]), "--models", str(art / "models"), "--ubm", str(art / "ubm.json"), "--features", str(art / "feats"), "--out", str(art / "scores.tsv")]) == 0
     return art
+
+
+@pytest.fixture(scope="module")
+def tri_filterbank(pipeline, tmp_path_factory):
+    """A triangular filterbank on the pipeline's scale, a second variant for fratio."""
+    path = tmp_path_factory.mktemp("tri") / "tri.json"
+    assert main(["learn-filterbank", "--scale-doc", str(pipeline / "scale.json"), "--out", str(path), "--shape", "tri"]) == 0
+    return path
 
 
 class TestLearnScale:
@@ -189,6 +203,31 @@ class TestFratio:
         header = tsv.read_text().splitlines()[0].split("\t")
         assert header[0] == "filter" and header[-1] == "winner"
 
+    def test_one_front_end_pass_per_utterance(self, capsys, monkeypatch, small_corpus, pipeline, tri_filterbank):
+        loaded = []
+        load_wav = store.load_wav
+        monkeypatch.setattr(store, "load_wav", lambda path: loaded.append(Path(path).name) or load_wav(path))
+        rc, _, _ = run(
+            capsys, "fratio", "--manifest", small_corpus["manifest"],
+            "--filterbanks", tri_filterbank, pipeline / "fb.json",
+        )
+        assert rc == 0
+        n_utterances = len(load_manifest(small_corpus["manifest"]).entries)
+        assert len(loaded) == len(set(loaded)) == n_utterances
+
+    def test_columns_match_separate_runs(self, capsys, small_corpus, pipeline, tri_filterbank, tmp_path):
+        def columns(*filterbanks):
+            tsv = tmp_path / f"{len(list(tmp_path.iterdir()))}.tsv"
+            rc, _, _ = run(capsys, "fratio", "--manifest", small_corpus["manifest"], "--filterbanks", *filterbanks, "--out", tsv)
+            assert rc == 0
+            rows = [line.split("\t") for line in tsv.read_text().splitlines()]
+            return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}
+
+        # fratio needs two variants, so each separate run compares a filterbank with itself.
+        both = columns(tri_filterbank, pipeline / "fb.json")
+        assert both["tri"] == columns(tri_filterbank, tri_filterbank)["tri"]
+        assert both["fb"] == columns(pipeline / "fb.json", pipeline / "fb.json")["fb"]
+
 
 class TestAsvCommands:
     def test_scores_written(self, pipeline, small_corpus):
@@ -292,6 +331,20 @@ class TestExitCodes:
         assert rc == 2
         assert err.splitlines() == [f"error: {manifest}: entry 0 lacks 'path'"]
 
+    def test_score_names_segment_without_speech(self, small_corpus, pipeline, tmp_path):
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        test_id = small_corpus["trials"].read_text().split()[1]
+        fm = read_features(feats / f"{test_id}.wflt")
+        write_features(FeatureMatrix(fm.vectors, np.zeros(fm.n_frames, dtype=bool)), feats / f"{test_id}.wflt")
+        proc = python_child(
+            "-m", "warpfilt.cli", "score", "--trials", small_corpus["trials"], "--models", pipeline / "models",
+            "--ubm", pipeline / "ubm.json", "--features", feats, "--out", tmp_path / "scores.tsv",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: test segment {test_id}: no speech frames to score"]
+        assert not (tmp_path / "scores.tsv").exists()
+
 
 class TestStartup:
     SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -357,6 +410,53 @@ class TestStartup:
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+class TestAllocatorPolicy:
+    # Minor page faults of 50 track_pitch calls on one 199 x 320 frame matrix,
+    # after a warm-up call; argv[1] == "main" first runs the CLI entry point.
+    PITCH_FAULTS = """
+import contextlib, io, resource, sys
+import numpy as np
+from warpfilt import cli, sad
+if sys.argv[1] == "main":
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        cli.main(["--help"])
+frames = np.random.default_rng(0).normal(size=(199, 320))
+sad.track_pitch(frames, 16000)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    sad.track_pitch(frames, 16000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    HELD = 5_000  # faults when freed temporaries stay on the heap (about 0)
+    RETURNED = 20_000  # glibc's default returns them to the kernel (about 76,000)
+
+    def _faults(self, mode, **malloc_env):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+        proc = python_child("-c", self.PITCH_FAULTS, mode, env={**env, **malloc_env})
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout.strip())
+
+    def test_main_keeps_freed_memory(self):
+        assert self._faults("main") < self.HELD
+
+    def test_caller_malloc_setting_wins(self):
+        assert self._faults("main", MALLOC_MMAP_THRESHOLD_="131072") > self.RETURNED
+
+    def test_caller_glibc_tunable_wins(self):
+        assert self._faults("main", GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072") > self.RETURNED
+
+    def test_import_leaves_allocator_unchanged(self):
+        assert self._faults("import") > self.RETURNED
+
+
 class TestRunConfig:
     def test_defaults_match_paper_recipe(self):
         cfg = RunConfig()
@@ -402,6 +502,24 @@ class TestRunConfig:
         with pytest.raises(ValueError) as info:
             load_config(path, {})
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["train-ubm", "--features", "feats", "--em-iters", "0"], "em_iters must be >= 1, got 0"),
+            (["train-ubm", "--features", "feats", "--ubm-components", "0"], "ubm_components must be >= 1, got 0"),
+            (["train-ubm", "--features", "feats", "--ubm-components", "-3"], "ubm_components must be >= 1, got -3"),
+            (["extract", "--manifest", "manifest", "--filterbank", "fb.json", "--jobs", "0"], "jobs must be >= 1, got 0"),
+            (["extract", "--manifest", "manifest", "--filterbank", "fb.json", "--jobs", "-2"], "jobs must be >= 1, got -2"),
+        ],
+    )
+    def test_out_of_range_exits_2_with_one_line(self, small_corpus, pipeline, tmp_path, command, message):
+        paths = {"feats": pipeline / "feats", "fb.json": pipeline / "fb.json", "manifest": small_corpus["manifest"]}
+        command = [paths.get(a, a) for a in command]
+        proc = python_child("-m", "warpfilt.cli", *command, "--out", tmp_path / "out")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -59,6 +59,19 @@ class TestFrameSignal:
         for i in range(grid.n_frames):
             assert np.array_equal(frames[i], x[i * grid.hop : i * grid.hop + grid.frame_len])
 
+    @pytest.mark.parametrize("n", [320, 479, 480, 1000, 16001])
+    def test_read_only_view_equals_gathered_copy(self, n):
+        s = seg(np.random.default_rng(n).normal(size=n))
+        grid, frames = frame_signal(s, 20.0, 10.0)
+        idx = np.arange(grid.n_frames)[:, None] * grid.hop + np.arange(grid.frame_len)[None, :]
+        gathered = s.samples[idx]
+        assert frames.shape == gathered.shape == (grid.n_frames, grid.frame_len)
+        assert frames.tobytes() == gathered.tobytes()
+        assert np.shares_memory(frames, s.samples)
+        assert not frames.flags.writeable
+        with pytest.raises(ValueError):
+            frames[0, 0] = 1.0
+
 
 class TestHammingWindow:
     def test_degenerate(self):
