@@ -53,7 +53,6 @@ from .filterbank import (
     pca_filterbank,
     pca_first_basis,
     place_filter_edges,
-    subband_covariance,
     triangular_responses,
 )
 from .sad import PitchConfig, PitchTrack, bi_gaussian_sad, frame_log_energy, track_pitch, voiced_mask
@@ -67,7 +66,6 @@ from .scale import (
     equal_area_partition,
     mel,
     mel_warping_scale,
-    merge_ltas,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, backend, filterbank, sad, scale, store
-from .dsp import next_pow2
+from .dsp import ms_to_samples, next_pow2
 from .features import FeatureConfig, extract_features, filterbank_log_energies, utterance_spectra
 
 logger = logging.getLogger(__name__)
@@ -38,17 +38,10 @@ TRIM_THRESHOLD_BYTES = 64 << 20
 
 
 @dataclass
-class RunConfig:
-    """Pipeline settings; file values are overridden by command-line flags."""
+class RunConfig(FeatureConfig):
+    """Pipeline settings, FeatureConfig's among them; file values are overridden by flags."""
 
-    frame_ms: float = 20.0
-    hop_ms: float = 10.0
     n_filters: int = 20
-    n_ceps: int = 19
-    delta_window: int = 2
-    rasta_enabled: bool = True
-    cmvn_enabled: bool = True
-    preemph: float = 0.97
     scale: str = "mel"
     shape: str = "tri"
     pitch_f_min_hz: float = 50.0
@@ -63,6 +56,7 @@ class RunConfig:
     cost_preset: str = "nist-sre"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.scale not in SCALE_FLAGS:
             raise ValueError(f"unknown scale {self.scale!r}")
         if self.shape not in SHAPE_FLAGS:
@@ -74,18 +68,6 @@ class RunConfig:
         for name in ("jobs", "ubm_components", "em_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            frame_ms=self.frame_ms,
-            hop_ms=self.hop_ms,
-            n_filters=self.n_filters,
-            n_ceps=self.n_ceps,
-            delta_window=self.delta_window,
-            rasta_enabled=self.rasta_enabled,
-            cmvn_enabled=self.cmvn_enabled,
-            preemph=self.preemph,
-        )
 
     def pitch_config(self) -> sad.PitchConfig:
         return sad.PitchConfig(self.pitch_f_min_hz, self.pitch_f_max_hz, self.voicing_threshold)
@@ -188,14 +170,46 @@ def _refuse_existing(path: Path, overwrite: bool):
         raise ValueError(f"{path} exists; pass --overwrite to replace it")
 
 
-def _load_segment(entry: store.ManifestEntry, expected_rate: int):
-    seg = store.load_wav(entry.path)
-    if seg.sample_rate_hz != expected_rate:
-        raise ValueError(
-            f"sample rate {seg.sample_rate_hz} differs from manifest rate {expected_rate}"
-        )
-    seg.id = entry.utterance_id
-    return seg
+def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: bool = False):
+    """Yield fn(segment) for each manifest entry, in entry order, on `jobs` threads.
+
+    Each WAV is loaded once and must have the manifest's sample rate. A ValueError
+    is prefixed with the utterance id; it is raised, or with keep_going yielded in
+    place of that utterance's result.
+    """
+
+    def one(entry):
+        try:
+            seg = store.load_wav(entry.path)
+            if seg.sample_rate_hz != sample_rate_hz:
+                raise ValueError(f"sample rate {seg.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
+            seg.id = entry.utterance_id
+            return fn(seg)
+        except ValueError as err:
+            failure = ValueError(f"utterance {entry.utterance_id}: {err}")
+            if keep_going:
+                return failure
+            raise failure from err
+
+    return _map_ordered(one, entries, jobs)
+
+
+def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig) -> int:
+    """The n_fft of model documents [(path, ModelDocument)] to be applied to a corpus.
+
+    Each must have the manifest's sample rate and the first document's n_fft, and
+    that n_fft must hold a frame; a ValueError names the first document that does not.
+    """
+    first, first_doc = docs[0]
+    frame_len = ms_to_samples(cfg.frame_ms, sample_rate_hz)
+    for path, doc in docs:
+        if doc.sample_rate_hz != sample_rate_hz:
+            raise ValueError(f"{path}: sample_rate_hz {doc.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
+        if doc.n_fft != first_doc.n_fft:
+            raise ValueError(f"{path}: n_fft {doc.n_fft} differs from n_fft {first_doc.n_fft} of {first}")
+        if doc.n_fft < frame_len:
+            raise ValueError(f"{path}: n_fft {doc.n_fft} is shorter than a frame of {frame_len} samples")
+    return first_doc.n_fft
 
 
 def _subsample(entries, fraction: float, seed: int):
@@ -223,30 +237,18 @@ def cmd_learn_scale(args) -> int:
     if not manifest.entries:
         raise ValueError("no utterances")
     sr = manifest.sample_rate_hz
-    frame_len = int(round(sr * cfg.frame_ms / 1000.0))
-    n_fft = next_pow2(frame_len)
+    n_fft = next_pow2(ms_to_samples(cfg.frame_ms, sr))
     kind = SCALE_FLAGS[cfg.scale]
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
     else:
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
-        fc = cfg.feature_config()
-        pc = cfg.pitch_config()
+        pitch = cfg.pitch_config() if kind == "speech-based-pitch" else None
 
-        def one(entry):
-            try:
-                seg = _load_segment(entry, sr)
-                spec, frames = utterance_spectra(seg, fc)
-                if kind == "speech-based-pitch":
-                    mask = sad.voiced_mask(spec, frames, sr, pc)
-                else:
-                    mask = sad.bi_gaussian_sad(sad.frame_log_energy(frames))
-                return scale.compute_ltas(spec, mask)
-            except ValueError as err:
-                raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
+        def ltas(seg):
+            return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, pitch))
 
-        ltas_list = list(_map_ordered(one, entries, cfg.jobs))
-        avg = scale.average_ltas(ltas_list)
+        avg = scale.average_ltas(list(_utterance_pass(entries, sr, cfg.jobs, ltas)))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
         warping = scale.build_warping_scale(partition, avg.bin_hz, sr / 2.0, kind)
     out = Path(args.out)
@@ -263,9 +265,8 @@ def cmd_learn_filterbank(args) -> int:
     cfg = _config_from_args(args)
     scale_doc = store.load_model(args.scale_doc, expect_kind="warping-scale")
     warping = store.scale_from_document(scale_doc)
-    sr = scale_doc.sample_rate_hz
     n_fft = scale_doc.n_fft
-    layout = filterbank.place_filter_edges(warping, cfg.n_filters, n_fft, sr)
+    layout = filterbank.place_filter_edges(warping, cfg.n_filters, n_fft, scale_doc.sample_rate_hz)
     shape_kind = SHAPE_FLAGS[cfg.shape]
     if shape_kind == "triangular":
         fb = filterbank.triangular_responses(layout)
@@ -275,22 +276,17 @@ def cmd_learn_filterbank(args) -> int:
         manifest = store.load_manifest(args.manifest)
         if not manifest.entries:
             raise ValueError("no utterances")
+        _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg)
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
-        fc = cfg.feature_config()
         taper = shape_kind in ("windowed-pca", "windowed-pca-normalized")
 
-        def one(entry):
-            try:
-                seg = _load_segment(entry, sr)
-                spec, frames = utterance_spectra(seg, fc)
-                mask = sad.bi_gaussian_sad(sad.frame_log_energy(frames))
-                return np.log(spec.frames[mask] + sad.ENERGY_EPS)
-            except ValueError as err:
-                raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
+        def speech_log_spectra(seg):
+            spec, mask = utterance_spectra(seg, cfg, n_fft)
+            return np.log(spec.frames[mask] + sad.ENERGY_EPS)
 
         # Added in manifest order, so the filterbank does not depend on --jobs.
         stats = filterbank.SubbandStatistics(layout, taper)
-        for log_spec in _map_ordered(one, entries, cfg.jobs):
+        for log_spec in _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra):
             stats.add(log_spec)
         fb = filterbank.pca_filterbank(stats, normalize=shape_kind == "windowed-pca-normalized")
     out = Path(args.out)
@@ -308,32 +304,31 @@ def cmd_extract(args) -> int:
     manifest = store.load_manifest(args.manifest)
     if not manifest.entries:
         raise ValueError("no utterances")
-    fb = store.filterbank_from_document(store.load_model(args.filterbank, expect_kind="filterbank"))
+    fb_doc = store.load_model(args.filterbank, expect_kind="filterbank")
+    _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg)
+    fb = store.filterbank_from_document(fb_doc)
+    if cfg.n_ceps > fb.n_filters - 1:
+        raise ValueError(f"{args.filterbank}: n_ceps {cfg.n_ceps} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    fc = cfg.feature_config()
     targets = {e.utterance_id: outdir / f"{e.utterance_id}.wflt" for e in manifest.entries}
     if not args.overwrite:
         for path in targets.values():
             _refuse_existing(path, False)
+    outdir.mkdir(parents=True, exist_ok=True)
 
-    def one(entry):
-        try:
-            seg = _load_segment(entry, manifest.sample_rate_hz)
-            fm = extract_features(seg, fb, fc)
-            store.write_features(fm, targets[entry.utterance_id])
-            return entry.utterance_id, fm.n_frames, float(fm.mask.mean()) * 100.0, None
-        except ValueError as err:
-            return entry.utterance_id, 0, 0.0, str(err)
+    def write(seg):
+        fm = extract_features(seg, fb, cfg)
+        store.write_features(fm, targets[seg.id])
+        return f"{seg.id}\t{fm.n_frames}\t{float(fm.mask.mean()) * 100.0:.1f}"
 
     failed = 0
     with _directory_lock(outdir):
-        for utt, n_frames, pct, err in _map_ordered(one, manifest.entries, cfg.jobs):
-            if err is not None:
+        for result in _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, write, keep_going=True):
+            if isinstance(result, ValueError):
                 failed += 1
-                logger.error("utterance %s failed: %s", utt, err)
+                logger.error("%s", result)
             else:
-                print(f"{utt}\t{n_frames}\t{pct:.1f}")
+                print(result)
     if failed:
         logger.error("%d of %d utterances failed", failed, len(manifest.entries))
         return EXIT_DATA
@@ -346,25 +341,18 @@ def cmd_fratio(args) -> int:
     speakers = manifest.speakers()
     if len(speakers) < 2:
         raise ValueError("manifest needs speaker_ids for at least two speakers")
-    fc = cfg.feature_config()
-    fbs = [
-        store.filterbank_from_document(store.load_model(doc_path, expect_kind="filterbank"))
-        for doc_path in args.filterbanks
-    ]
+    docs = [(path, store.load_model(path, expect_kind="filterbank")) for path in args.filterbanks]
+    n_fft = _check_documents(docs, manifest.sample_rate_hz, cfg)
+    fbs = [store.filterbank_from_document(doc) for _, doc in docs]
 
     # One front-end pass per utterance, shared by every filterbank.
-    def one(entry):
-        try:
-            seg = _load_segment(entry, manifest.sample_rate_hz)
-            spec, frames = utterance_spectra(seg, fc)
-            mask = sad.bi_gaussian_sad(sad.frame_log_energy(frames))
-            return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
-        except ValueError as err:
-            raise ValueError(f"utterance {entry.utterance_id}: {err}") from err
+    def speech_log_energies(seg):
+        spec, mask = utterance_spectra(seg, cfg, n_fft)
+        return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
 
     groups = [{} for _ in fbs]
     for speaker, entries in speakers.items():
-        per_utterance = list(_map_ordered(one, entries, cfg.jobs))
+        per_utterance = list(_utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_energies))
         for i, group in enumerate(groups):
             group[speaker] = np.vstack([energies[i] for energies in per_utterance])
     variants = {}

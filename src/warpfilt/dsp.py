@@ -70,6 +70,11 @@ def pre_emphasize(x: AudioSegment, alpha: float = 0.97) -> AudioSegment:
     return AudioSegment(y, x.sample_rate_hz, x.id)
 
 
+def ms_to_samples(ms: float, sample_rate_hz: int) -> int:
+    """A duration in milliseconds as the nearest whole number of samples."""
+    return int(round(sample_rate_hz * ms / 1000.0))
+
+
 def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> tuple[FrameGrid, np.ndarray]:
     """Slice a signal into overlapping frames; trailing partial frames are dropped.
 
@@ -77,8 +82,8 @@ def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> tuple[Frame
     """
     if not 0.0 < hop_ms <= frame_ms:
         raise ValueError("require frame_ms >= hop_ms > 0")
-    frame_len = int(round(x.sample_rate_hz * frame_ms / 1000.0))
-    hop = int(round(x.sample_rate_hz * hop_ms / 1000.0))
+    frame_len = ms_to_samples(frame_ms, x.sample_rate_hz)
+    hop = ms_to_samples(hop_ms, x.sample_rate_hz)
     if frame_len < 1 or hop < 1:
         raise ValueError("frame and hop must span at least one sample")
     if len(x) < frame_len:

@@ -10,12 +10,11 @@ from .dsp import (
     dct_ii_ortho,
     frame_signal,
     hamming_window,
-    next_pow2,
     power_spectrum,
     pre_emphasize,
 )
 from .filterbank import Filterbank
-from .sad import ENERGY_EPS, bi_gaussian_sad, frame_log_energy
+from .sad import ENERGY_EPS, PitchConfig, bi_gaussian_sad, frame_log_energy, voiced_mask
 
 # Classic RASTA band-pass: 0.1*(2 + z^-1 - z^-3 - 2 z^-4) / (1 - 0.98 z^-1).
 RASTA_NUM = 0.1 * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
@@ -24,11 +23,13 @@ RASTA_DEN = np.array([1.0, -0.98])
 
 @dataclass
 class FeatureConfig:
-    """Extraction settings; defaults give the 57-dimensional configuration."""
+    """Front-end and cepstral settings; defaults give the 57-dimensional configuration.
+
+    The filter count is the filterbank's, and cepstra checks n_ceps against it.
+    """
 
     frame_ms: float = 20.0
     hop_ms: float = 10.0
-    n_filters: int = 20
     n_ceps: int = 19
     delta_window: int = 2
     rasta_enabled: bool = True
@@ -36,8 +37,6 @@ class FeatureConfig:
     preemph: float = 0.97
 
     def __post_init__(self):
-        if self.n_ceps > self.n_filters - 1:
-            raise ValueError("n_ceps must be <= n_filters - 1")
         if self.delta_window < 1:
             raise ValueError("delta_window must be >= 1")
 
@@ -156,30 +155,30 @@ def cmvn(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def utterance_spectra(
-    x: AudioSegment, cfg: FeatureConfig
+    x: AudioSegment, cfg: FeatureConfig, n_fft: int, pitch: PitchConfig | None = None
 ) -> tuple[PowerSpectrogram, np.ndarray]:
-    """Pre-emphasis, framing and Hamming-windowed power spectra for one utterance."""
+    """The front end of one utterance: its power spectra and the mask of frames to use.
+
+    Pre-emphasis, framing, a Hamming window and n_fft-point power spectra. The mask
+    is the bi-Gaussian SAD, ANDed with pitch presence when a PitchConfig is given.
+    """
     emphasized = pre_emphasize(x, cfg.preemph)
     grid, frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
-    window = hamming_window(grid.frame_len)
-    spec = power_spectrum(frames, next_pow2(grid.frame_len), window, x.sample_rate_hz)
-    return spec, frames
+    spec = power_spectrum(frames, n_fft, hamming_window(grid.frame_len), x.sample_rate_hz)
+    if pitch is None:
+        return spec, bi_gaussian_sad(frame_log_energy(frames))
+    return spec, voiced_mask(frames, x.sample_rate_hz, pitch)
 
 
 def extract_features(x: AudioSegment, fb: Filterbank, cfg: FeatureConfig) -> FeatureMatrix:
     """Full per-utterance pipeline from waveform to masked, normalized features."""
     if x.sample_rate_hz != fb.layout.sample_rate_hz:
         raise ValueError("sample rate of utterance and filterbank must match")
-    emphasized = pre_emphasize(x, cfg.preemph)
-    grid, frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
-    window = hamming_window(grid.frame_len)
-    spec = power_spectrum(frames, fb.layout.n_fft, window, x.sample_rate_hz)
-    log_e = filterbank_log_energies(spec, fb)
-    coeffs = cepstra(log_e, cfg.n_ceps)
+    spec, mask = utterance_spectra(x, cfg, fb.layout.n_fft)
+    coeffs = cepstra(filterbank_log_energies(spec, fb), cfg.n_ceps)
     if cfg.rasta_enabled:
         coeffs = rasta_filter(coeffs)
     vectors = append_deltas(coeffs, cfg.delta_window)
-    mask = bi_gaussian_sad(frame_log_energy(frames))
     if cfg.cmvn_enabled:
         vectors = cmvn(vectors, mask)
     return FeatureMatrix(vectors, mask, x.id)

@@ -12,9 +12,6 @@ logger = logging.getLogger(__name__)
 
 SHAPE_KINDS = ("triangular", "pca", "windowed-pca", "windowed-pca-normalized")
 
-POWER_ITER_TOL = 1e-10
-POWER_ITER_MAX = 10_000
-
 
 @dataclass
 class FilterbankLayout:
@@ -115,34 +112,6 @@ def triangular_responses(layout: FilterbankLayout) -> Filterbank:
     return Filterbank(layout, responses, "triangular")
 
 
-def subband_covariance(
-    log_specs: np.ndarray, band: tuple[int, int], taper: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample covariance and mean of (optionally tapered) subband log spectra."""
-    log_specs = np.atleast_2d(np.asarray(log_specs, dtype=np.float64))
-    lo, hi = band
-    if lo > hi:
-        raise ValueError("band must satisfy k_l <= k_h")
-    n_frames = log_specs.shape[0]
-    if n_frames < 2:
-        raise ValueError("need >=2 frames")
-    sliced = log_specs[:, lo : hi + 1]
-    if taper is not None:
-        taper = np.asarray(taper, dtype=np.float64)
-        if taper.shape != (sliced.shape[1],):
-            raise ValueError("taper length must equal the band width")
-        sliced = sliced * taper
-    mean, scatter = _scatter(sliced)
-    return scatter / (n_frames - 1), mean
-
-
-def _scatter(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of the rows and the sum of their outer products about it."""
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    return mean, centered.T @ centered
-
-
 class SubbandStatistics:
     """Frame count, mean and scatter matrix of every (optionally tapered) subband of a layout.
 
@@ -150,8 +119,8 @@ class SubbandStatistics:
     are folded into the statistics in blocks of block_frames rows, each block merged
     with the pairwise update of Chan, Golub & LeVeque (1979). So the result depends on
     the sequence of rows only, not on how it was split into batches, and memory holds
-    one block, not the corpus. Up to block_frames rows give subband_covariance's
-    two-pass covariance exactly.
+    one block, not the corpus. Up to block_frames rows give the two-pass covariance
+    exactly.
     """
 
     def __init__(self, layout: FilterbankLayout, taper: bool = False, block_frames: int = 8192):
@@ -193,7 +162,9 @@ class SubbandStatistics:
             sliced = rows[:, lo : hi + 1]
             if window is not None:
                 sliced = sliced * window
-            mean, scatter = _scatter(sliced)
+            mean = sliced.mean(axis=0)
+            centered = sliced - mean
+            scatter = centered.T @ centered
             if n_a == 0:
                 self._means[j], self._scatters[j] = mean, scatter
                 continue
@@ -213,7 +184,7 @@ class SubbandStatistics:
 
 
 def pca_first_basis(s: np.ndarray) -> np.ndarray:
-    """Unit-norm dominant eigenvector of a symmetric matrix by power iteration.
+    """Unit-norm eigenvector of the largest eigenvalue of a symmetric matrix.
 
     The sign is fixed so the component sum is non-negative.
     """
@@ -223,22 +194,7 @@ def pca_first_basis(s: np.ndarray) -> np.ndarray:
     s = 0.5 * (s + s.T)
     if not np.any(s):
         raise ValueError("degenerate subband")
-    n = s.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITER_MAX):
-        w = s @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm
-        lam = float(v @ s @ v)
-        if np.linalg.norm(s @ v - lam * v) <= POWER_ITER_TOL * max(1.0, abs(lam)):
-            break
+    v = np.linalg.eigh(s)[1][:, -1]
     if v.sum() < 0.0:
         v = -v
     return v

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 import numpy as np
 
-from .dsp import PowerSpectrogram, next_pow2
+from .dsp import next_pow2
 
 ENERGY_EPS = 1e-12
 VAR_FLOOR = 1e-10
@@ -215,11 +215,6 @@ def track_pitch(
     return PitchTrack(f0, score)
 
 
-def voiced_mask(
-    spec: PowerSpectrogram, frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None
-) -> np.ndarray:
+def voiced_mask(frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None) -> np.ndarray:
     """SAD mask AND pitch presence, per frame."""
-    frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    if spec.n_frames != frames.shape[0]:
-        raise ValueError("spectrogram and frame matrix disagree on frame count")
     return bi_gaussian_sad(frame_log_energy(frames)) & track_pitch(frames, sample_rate_hz, cfg).voiced

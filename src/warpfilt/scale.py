@@ -101,14 +101,6 @@ def average_ltas(ltas_list: list[Ltas]) -> Ltas:
     return Ltas(values, total, ltas_list[0].bin_hz)
 
 
-def merge_ltas(ltas_list: list[Ltas]) -> Ltas:
-    """Frame-count-weighted merge, equivalent to one pass over all frames."""
-    _check_compatible(ltas_list)
-    counts = np.array([item.n_frames_accumulated for item in ltas_list], dtype=np.float64)
-    values = np.sum([item.values * c for item, c in zip(ltas_list, counts)], axis=0) / counts.sum()
-    return Ltas(values, int(counts.sum()), ltas_list[0].bin_hz)
-
-
 def _shifted_log(values: np.ndarray) -> np.ndarray:
     log_v = np.log(np.maximum(values, np.finfo(np.float64).tiny))
     return log_v - log_v.min() + AREA_SHIFT

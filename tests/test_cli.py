@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import warpfilt
-from warpfilt import store
+from warpfilt import dsp, sad, store
 from warpfilt.cli import RunConfig, load_config, main
 from warpfilt.features import FeatureMatrix
+from warpfilt.filterbank import place_filter_edges, triangular_responses
+from warpfilt.scale import mel_warping_scale
 from warpfilt.store import (
     CorpusManifest,
     load_manifest,
@@ -48,6 +50,23 @@ def parse_kv(text):
     return pairs
 
 
+def count_calls(monkeypatch, module, name):
+    """Record the first argument of every call to module.name, through any warpfilt module that holds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "warpfilt":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory, small_corpus):
     """Artifacts from one full pipeline pass over the small corpus."""
@@ -70,6 +89,28 @@ def tri_filterbank(pipeline, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def long_frames(tmp_path_factory, small_corpus):
+    """A speech scale learned with 40 ms frames (n_fft 1024) and a triangular filterbank on it."""
+    root = tmp_path_factory.mktemp("long_frames")
+    (root / "cfg.json").write_text('{"frame_ms": 40.0}')
+    assert main(["learn-scale", "--manifest", str(small_corpus["manifest"]), "--out", str(root / "scale.json"), "--scale", "speech", "--config", str(root / "cfg.json")]) == 0
+    assert main(["learn-filterbank", "--scale-doc", str(root / "scale.json"), "--out", str(root / "tri.json"), "--shape", "tri"]) == 0
+    assert load_model(root / "tri.json").n_fft == 1024
+    return root
+
+
+@pytest.fixture(scope="module")
+def foreign_rate(tmp_path_factory):
+    """8 kHz scale and filterbank documents with a 512-point FFT, foreign to the 16 kHz corpus."""
+    root = tmp_path_factory.mktemp("foreign_rate")
+    warping = mel_warping_scale(4000.0)
+    store.save_model(store.scale_document(warping, 8000, 512), root / "scale8k.json")
+    fb = triangular_responses(place_filter_edges(warping, 20, 512, 8000))
+    store.save_model(store.filterbank_document(fb), root / "fb8k.json")
+    return root
+
+
 class TestLearnScale:
     def test_mel_needs_no_corpus_pass(self, capsys, small_corpus, tmp_path):
         out_doc = tmp_path / "mel.json"
@@ -89,6 +130,16 @@ class TestLearnScale:
         a = load_model(tmp_path / "a.json").payload
         b = load_model(tmp_path / "b.json").payload
         assert a == b
+
+    @pytest.mark.parametrize("n_filters", [4, 10])
+    @pytest.mark.parametrize("scale", ["speech", "speech-pitch"])
+    def test_speech_scales_at_any_n_filters(self, capsys, small_corpus, tmp_path, scale, n_filters):
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--out", tmp_path / "s.json",
+            "--scale", scale, "--n-filters", n_filters,
+        )
+        assert rc == 0, err
+        assert len(out.strip().splitlines()) == n_filters + 2  # the knots: band midpoints and both ends
 
     def test_subsample_logged_and_honored(self, capsys, small_corpus, tmp_path, caplog):
         import logging
@@ -142,6 +193,26 @@ class TestLearnFilterbank:
         assert len(set(responses.values())) == 4  # four distinct documents
         norm = np.asarray(payloads["wpca-norm"]["responses"])
         assert np.allclose(norm.max(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_filters", [4, 10])
+    @pytest.mark.parametrize("shape", ["pca", "wpca-norm"])
+    def test_pca_shapes_at_any_n_filters(self, capsys, small_corpus, pipeline, tmp_path, shape, n_filters):
+        rc, _, err = run(
+            capsys, "learn-filterbank", "--manifest", small_corpus["manifest"],
+            "--scale-doc", pipeline / "scale.json", "--out", tmp_path / "fb.json",
+            "--shape", shape, "--n-filters", n_filters,
+        )
+        assert rc == 0, err
+        assert len(load_model(tmp_path / "fb.json").payload["responses"]) == n_filters
+
+    def test_pca_on_scale_with_40ms_frames(self, capsys, small_corpus, long_frames, tmp_path):
+        # The spectra take the scale document's 1024-point FFT, not one from the 20 ms frames.
+        rc, _, err = run(
+            capsys, "learn-filterbank", "--manifest", small_corpus["manifest"],
+            "--scale-doc", long_frames / "scale.json", "--out", tmp_path / "fb.json", "--shape", "pca",
+        )
+        assert rc == 0, err
+        assert load_model(tmp_path / "fb.json").n_fft == 1024
 
     def test_filterbank_identical_across_jobs(self, capsys, small_corpus, pipeline, tmp_path):
         payloads = []
@@ -203,17 +274,13 @@ class TestFratio:
         header = tsv.read_text().splitlines()[0].split("\t")
         assert header[0] == "filter" and header[-1] == "winner"
 
-    def test_one_front_end_pass_per_utterance(self, capsys, monkeypatch, small_corpus, pipeline, tri_filterbank):
-        loaded = []
-        load_wav = store.load_wav
-        monkeypatch.setattr(store, "load_wav", lambda path: loaded.append(Path(path).name) or load_wav(path))
-        rc, _, _ = run(
+    def test_accepts_n_fft_1024_filterbank(self, capsys, small_corpus, long_frames):
+        rc, out, err = run(
             capsys, "fratio", "--manifest", small_corpus["manifest"],
-            "--filterbanks", tri_filterbank, pipeline / "fb.json",
+            "--filterbanks", long_frames / "tri.json", long_frames / "tri.json",
         )
-        assert rc == 0
-        n_utterances = len(load_manifest(small_corpus["manifest"]).entries)
-        assert len(loaded) == len(set(loaded)) == n_utterances
+        assert rc == 0, err
+        assert "Avg." in out
 
     def test_columns_match_separate_runs(self, capsys, small_corpus, pipeline, tri_filterbank, tmp_path):
         def columns(*filterbanks):
@@ -227,6 +294,77 @@ class TestFratio:
         both = columns(tri_filterbank, pipeline / "fb.json")
         assert both["tri"] == columns(tri_filterbank, tri_filterbank)["tri"]
         assert both["fb"] == columns(pipeline / "fb.json", pipeline / "fb.json")["fb"]
+
+
+class TestOneFrontEndPass:
+    @pytest.mark.parametrize(
+        "command, pitch",
+        [
+            (["learn-scale", "--scale", "speech", "--out", "OUT"], False),
+            (["learn-scale", "--scale", "speech-pitch", "--out", "OUT"], True),
+            (["learn-filterbank", "--scale-doc", "SCALE", "--shape", "wpca-norm", "--out", "OUT"], False),
+            (["extract", "--filterbank", "FB", "--out", "OUT"], False),
+            (["fratio", "--filterbanks", "TRI", "FB"], False),
+        ],
+        ids=["learn-scale-speech", "learn-scale-speech-pitch", "learn-filterbank-wpca-norm", "extract", "fratio"],
+    )
+    def test_one_front_end_pass_per_utterance(
+        self, capsys, monkeypatch, small_corpus, pipeline, tri_filterbank, tmp_path, command, pitch
+    ):
+        paths = {"SCALE": pipeline / "scale.json", "FB": pipeline / "fb.json", "TRI": tri_filterbank, "OUT": tmp_path / "out"}
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        spectra = count_calls(monkeypatch, dsp, "power_spectrum")
+        pitch_tracks = count_calls(monkeypatch, sad, "track_pitch")
+        rc, _, err = run(capsys, command[0], "--manifest", small_corpus["manifest"], *[paths.get(a, a) for a in command[1:]])
+        assert rc == 0, err
+        n_utterances = len(load_manifest(small_corpus["manifest"]).entries)
+        assert len(loaded) == len({Path(p).name for p in loaded}) == n_utterances
+        assert len(spectra) == n_utterances
+        assert len(pitch_tracks) == (n_utterances if pitch else 0)
+
+
+class TestDocumentChecks:
+    """A model document that does not fit the corpus or the other documents stops the
+    command before the corpus pass, with one line naming the document."""
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["fratio", "--filterbanks", "FB8K", "FB"], "FB8K: sample_rate_hz 8000 differs from manifest rate 16000"),
+            (["fratio", "--filterbanks", "FB", "TRI1024"], "TRI1024: n_fft 1024 differs from n_fft 512 of FB"),
+            (["extract", "--filterbank", "FB8K", "--out", "OUT"], "FB8K: sample_rate_hz 8000 differs from manifest rate 16000"),
+            (["extract", "--filterbank", "FB", "--out", "OUT", "--config", "CFG40"], "FB: n_fft 512 is shorter than a frame of 640 samples"),
+            (
+                ["learn-filterbank", "--scale-doc", "SCALE8K", "--shape", "pca", "--out", "OUT"],
+                "SCALE8K: sample_rate_hz 8000 differs from manifest rate 16000",
+            ),
+        ],
+        ids=["fratio-rate", "fratio-n-fft", "extract-rate", "extract-frame", "learn-filterbank-rate"],
+    )
+    def test_mismatch_exits_2_with_one_line(self, small_corpus, pipeline, long_frames, foreign_rate, tmp_path, command, message):
+        (tmp_path / "cfg40.json").write_text('{"frame_ms": 40.0}')
+        paths = {
+            "FB": pipeline / "fb.json", "FB8K": foreign_rate / "fb8k.json", "SCALE8K": foreign_rate / "scale8k.json",
+            "TRI1024": long_frames / "tri.json", "CFG40": tmp_path / "cfg40.json", "OUT": tmp_path / "out",
+        }
+        for name in sorted(paths, key=len, reverse=True):  # FB8K before FB
+            message = message.replace(name, str(paths[name]))
+        argv = [paths.get(a, a) for a in command]
+        proc = python_child("-m", "warpfilt.cli", argv[0], "--manifest", small_corpus["manifest"], *argv[1:])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_extract_checks_n_ceps_once(self, small_corpus, pipeline, tmp_path):
+        fb10 = tmp_path / "fb10.json"
+        assert main(["learn-filterbank", "--scale-doc", str(pipeline / "scale.json"), "--out", str(fb10), "--shape", "tri", "--n-filters", "10"]) == 0
+        proc = python_child(
+            "-m", "warpfilt.cli", "extract", "--manifest", small_corpus["manifest"], "--filterbank", fb10,
+            "--out", tmp_path / "feats",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"error: {fb10}: n_ceps 19 must be <= n_filters - 1 = 9"]
+        assert not (tmp_path / "feats").exists()
 
 
 class TestAsvCommands:
@@ -460,9 +598,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 class TestRunConfig:
     def test_defaults_match_paper_recipe(self):
         cfg = RunConfig()
-        fc = cfg.feature_config()
-        assert (fc.frame_ms, fc.hop_ms, fc.n_filters, fc.n_ceps) == (20.0, 10.0, 20, 19)
-        assert fc.dim == 57
+        assert (cfg.frame_ms, cfg.hop_ms, cfg.n_filters, cfg.n_ceps) == (20.0, 10.0, 20, 19)
+        assert cfg.dim == 57
         assert cfg.relevance == 14.0
         assert cfg.em_iters == 10
 

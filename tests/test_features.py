@@ -162,8 +162,9 @@ class TestFeatureConfig:
         assert FeatureConfig().dim == 57
 
     def test_invalid_ceps(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(n_ceps=20)
+        # The filterbank fixes the filter count: 20 filters keep at most 19 cepstra.
+        with pytest.raises(ValueError, match="n_ceps"):
+            extract_features(vowel_segment(), full_fb(q=20), FeatureConfig(n_ceps=20))
 
 
 def vowel_segment(duration_s=3.0, sr=16000):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from warpfilt.dsp import hamming_window, power_spectrum
 from warpfilt.sad import (
     ENERGY_EPS,
     MIN_OVERLAP,
@@ -207,18 +206,14 @@ class TestEstimatePitch:
 
 
 class TestVoicedMask:
-    def _spec(self, frames, sr):
-        n_fft = 512 if frames.shape[1] > 256 else 256
-        return power_spectrum(frames, n_fft, hamming_window(frames.shape[1]), sr)
-
     def test_pure_tone_all_voiced(self):
         frames = tone_frames(150.0, 16000, n_frames=40)
-        mask = voiced_mask(self._spec(frames, 16000), frames, 16000)
+        mask = voiced_mask(frames, 16000)
         assert mask.all()
 
     def test_silence_none_voiced(self):
         frames = np.zeros((40, 320))
-        mask = voiced_mask(self._spec(frames, 16000), frames, 16000)
+        mask = voiced_mask(frames, 16000)
         assert not mask.any()
 
     def test_subset_of_sad(self):
@@ -228,15 +223,9 @@ class TestVoicedMask:
         quiet = 1e-4 * rng.uniform(-1, 1, size=(20, 320))
         frames = np.vstack([voiced, noise, quiet])
         sad = bi_gaussian_sad(frame_log_energy(frames))
-        mask = voiced_mask(self._spec(frames, 16000), frames, 16000)
+        mask = voiced_mask(frames, 16000)
         assert not np.any(mask & ~sad)
         assert np.array_equal(mask, sad & track_pitch(frames, 16000).voiced)
-
-    def test_frame_count_mismatch(self):
-        frames = tone_frames(150.0, 16000, n_frames=12)
-        spec = self._spec(frames, 16000)
-        with pytest.raises(ValueError):
-            voiced_mask(spec, frames[:-1], 16000)
 
 
 def test_pitch_config_validation():

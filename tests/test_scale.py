@@ -22,7 +22,6 @@ from warpfilt.scale import (
     equal_area_partition,
     mel,
     mel_warping_scale,
-    merge_ltas,
     partition_areas,
 )
 
@@ -81,19 +80,6 @@ class TestAverageLtas:
     def test_mismatched_k(self):
         with pytest.raises(ValueError, match="mismatched"):
             average_ltas([Ltas(np.ones(3), 1, 1.0), Ltas(np.ones(4), 1, 1.0)])
-
-    def test_merge_matches_one_shot(self):
-        rng = np.random.default_rng(1)
-        frames = rng.uniform(0.1, 2.0, size=(30, 5))
-        spec = PowerSpectrogram(frames, 8, 16000)
-        whole = compute_ltas(spec, np.ones(30, dtype=bool))
-        parts = [
-            compute_ltas(PowerSpectrogram(frames[a:b], 8, 16000), np.ones(b - a, dtype=bool))
-            for a, b in ((0, 7), (7, 19), (19, 30))
-        ]
-        merged = merge_ltas(parts)
-        assert merged.n_frames_accumulated == 30
-        assert np.allclose(merged.values, whole.values, atol=1e-9)
 
 
 def brute_force_spread(areas, q):
@@ -257,7 +243,7 @@ def test_pitch_selection_changes_scale():
     frames = np.vstack([tone, noise, quiet])
     spec = power_spectrum(frames, 512, hamming_window(frame_len), sr)
     sad_mask = bi_gaussian_sad(frame_log_energy(frames))
-    pitch_mask = voiced_mask(spec, frames, sr)
+    pitch_mask = voiced_mask(frames, sr)
     assert pitch_mask.sum() < sad_mask.sum()
     q = 8
     all_scale = build_warping_scale(
