@@ -2,6 +2,7 @@
 score fusion, and DET/EER/minDCF metrics."""
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -92,35 +93,40 @@ def log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
 def _responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float]:
     log_joint = np.log(model.weights)[None, :] + component_log_densities(model, x)
     log_norm = _logsumexp(log_joint)
-    return np.exp(log_joint - log_norm[:, None]), float(log_norm.mean())
+    return np.exp(log_joint - log_norm[:, None]), float(log_norm.sum())
 
 
-# Frames per block of the initial assignment: the block's distance array is
-# _INIT_CHUNK x C x D, whatever the number of frames.
-_INIT_CHUNK = 1024
+# Frames per statistics block, so per-frame arrays are _BLOCK x C (x D for the initial distances).
+_BLOCK = 1024
+
+
+def _accumulate(x: np.ndarray, weigh) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Per-component sums of weigh(block)'s frame weights and weighted x and x*x, and of its log-likelihoods."""
+    n_k = s_x = s_xx = log_lik = 0.0
+    for block in np.split(x, range(_BLOCK, x.shape[0], _BLOCK)):
+        weights, block_log_lik = weigh(block)
+        n_k += weights.sum(axis=0)
+        s_x += weights.T @ block
+        s_xx += weights.T @ (block * block)
+        log_lik += block_log_lik
+    return n_k, s_x, s_xx, log_lik
 
 
 def _kmeans_style_init(x: np.ndarray, n_components: int, rng: np.random.Generator) -> GmmModel:
     n = x.shape[0]
     centroids = x[rng.choice(n, size=n_components, replace=False)]
-    assign = np.empty(n, dtype=np.intp)
-    for start in range(0, n, _INIT_CHUNK):
-        block = x[start : start + _INIT_CHUNK]
+
+    def nearest(block):
         d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign[start : start + _INIT_CHUNK] = d2.argmin(axis=1)
-    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
-    weights = np.empty(n_components)
-    means = centroids.copy()
-    variances = np.tile(global_var, (n_components, 1))
-    for c in range(n_components):
-        members = x[assign == c]
-        weights[c] = max(members.shape[0], 1)
-        if members.shape[0] > 0:
-            means[c] = members.mean(axis=0)
-        if members.shape[0] > 1:
-            variances[c] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
-    weights /= weights.sum()
-    return GmmModel(weights, means, variances)
+        return np.eye(n_components)[d2.argmin(axis=1)], 0.0
+
+    counts, s_x, s_xx, _ = _accumulate(x, nearest)
+    global_var = np.maximum(s_xx.sum(axis=0) / n - (s_x.sum(axis=0) / n) ** 2, VARIANCE_FLOOR)
+    size = np.maximum(counts, 1.0)
+    means = np.where(counts[:, None] > 0, s_x / size[:, None], centroids)
+    member_var = np.maximum(s_xx / size[:, None] - means**2, VARIANCE_FLOOR)
+    variances = np.where(counts[:, None] > 1, member_var, global_var)
+    return GmmModel(size / size.sum(), means, variances)
 
 
 def train_ubm(
@@ -133,18 +139,15 @@ def train_ubm(
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[0] < 10 * n_components:
         raise ValueError("too few frames")
-    rng = np.random.default_rng(seed)
-    model = _kmeans_style_init(x, n_components, rng)
+    model = _kmeans_style_init(x, n_components, np.random.default_rng(seed))
     history = np.empty(iters)
     for it in range(iters):
-        gamma, ll = _responsibilities(model, x)
-        history[it] = ll
-        nk = gamma.sum(axis=0)
-        safe_nk = np.maximum(nk, 1e-12)
-        weights = nk / x.shape[0]
-        means = gamma.T @ x / safe_nk[:, None]
-        variances = np.maximum(gamma.T @ (x * x) / safe_nk[:, None] - means**2, VARIANCE_FLOOR)
-        model = GmmModel(weights / weights.sum(), means, variances)
+        nk, s_x, s_xx, log_lik = _accumulate(x, partial(_responsibilities, model))
+        history[it] = log_lik / x.shape[0]
+        safe_nk = np.maximum(nk, 1e-12)[:, None]
+        means = s_x / safe_nk
+        variances = np.maximum(s_xx / safe_nk - means**2, VARIANCE_FLOOR)
+        model = GmmModel(nk / nk.sum(), means, variances)
     return model, history
 
 
@@ -155,13 +158,9 @@ def map_adapt_means(ubm: GmmModel, features: np.ndarray, relevance: float = 14.0
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[0] < 1:
         raise ValueError("need at least one adaptation frame")
-    gamma, _ = _responsibilities(ubm, x)
-    nk = gamma.sum(axis=0)
-    safe_nk = np.maximum(nk, 1e-12)
-    ex = gamma.T @ x / safe_nk[:, None]
-    ex = np.where(nk[:, None] > 0.0, ex, ubm.means)
-    alpha = nk / (nk + relevance)
-    means = alpha[:, None] * ex + (1.0 - alpha)[:, None] * ubm.means
+    nk, s_x, _, _ = _accumulate(x, partial(_responsibilities, ubm))
+    alpha = (nk / (nk + relevance))[:, None]
+    means = alpha * (s_x / np.maximum(nk, 1e-12)[:, None]) + (1.0 - alpha) * ubm.means
     return GmmModel(ubm.weights.copy(), means, ubm.variances.copy())
 
 

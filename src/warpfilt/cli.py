@@ -491,21 +491,9 @@ def cmd_evaluate(args) -> int:
 # --- Parser --------------------------------------------------------------------
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for name in (
-        "seed",
-        "jobs",
-        "scale",
-        "shape",
-        "subsample_fraction",
-        "cost_preset",
-        "n_filters",
-        "ubm_components",
-        "em_iters",
-        "relevance",
-    ):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
+    """RunConfig from --config and every flag of the subcommand that is named after a config field."""
+    fields = (f.name for f in dataclasses.fields(RunConfig))
+    overrides = {name: getattr(args, name) for name in fields if hasattr(args, name)}
     return load_config(getattr(args, "config", None), overrides)
 
 

@@ -1,6 +1,5 @@
 """Frequency warping scales: LTAS statistics, equal-area partition, mel closed form."""
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -179,7 +178,10 @@ def _best_candidate_edges(cum: np.ndarray, q: int) -> np.ndarray:
     n_combos = math.prod(len(c) for c in cand_sets)  # Python ints: 4**(q-1) overflows int64
     if n_combos > _MAX_COMBOS:
         return _coordinate_descent(cum, greedy)
-    combos = np.array(list(itertools.product(*cand_sets)), dtype=np.int64).reshape(n_combos, q - 1)
+    combos = np.zeros((1, 0), dtype=np.int64)
+    # Every combination, the last boundary varying fastest, so ties resolve to the earliest edges.
+    for cands in cand_sets:
+        combos = np.column_stack([np.repeat(combos, len(cands), axis=0), np.tile(cands, combos.shape[0])])
     if q > 2:
         combos = combos[np.all(np.diff(combos, axis=1) > 0, axis=1)]
     if combos.shape[0] == 0:
@@ -220,9 +222,16 @@ def build_warping_scale(
     """Interpolated scale anchored at band midpoints, spanning (0,0) to (nyquist,1).
 
     Band j's midpoint maps to the center of its equal-area cell, (2j-1)/(2Q), so
-    a uniform spectrum yields a linear scale.
+    a uniform spectrum yields a linear scale. A first or last band one bin wide has
+    its midpoint on an end knot, so such a partition is rejected.
     """
     q = len(partition.bands)
+    for end, (lo, hi), knot in (("first", partition.bands[0], "0 Hz"), ("last", partition.bands[-1], "Nyquist")):
+        if lo == hi:
+            raise ValueError(
+                f"degenerate scale: at n_filters {q} the {end} band is one bin wide (bin {lo}), "
+                f"so its midpoint is the {knot} end knot; use fewer filters"
+            )
     mids_hz = np.array([(lo + hi) / 2.0 * bin_hz for lo, hi in partition.bands])
     warped = (2.0 * np.arange(1, q + 1) - 1.0) / (2.0 * q)
     knots_hz = np.concatenate(([0.0], mids_hz, [nyquist_hz]))

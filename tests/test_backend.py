@@ -5,9 +5,12 @@ import pytest
 
 from warpfilt.backend import (
     COST_PRESETS,
+    VARIANCE_FLOOR,
     GmmModel,
     Trial,
     TrialScoreSet,
+    _BLOCK,
+    _kmeans_style_init,
     _logsumexp,
     component_log_densities,
     det_curve,
@@ -387,3 +390,115 @@ class TestBatchedBackend:
             tracemalloc.stop()
         # A full N x C x D float64 array alone is 51 MB here; EM itself needs a few N x C arrays.
         assert peak < 24 * 2**20, f"train_ubm allocated {peak / 2**20:.1f} MiB"
+
+
+def full_responsibilities(model, x):
+    log_joint = np.log(model.weights)[None, :] + component_log_densities(model, x)
+    log_norm = _logsumexp(log_joint)
+    return np.exp(log_joint - log_norm[:, None]), float(log_norm.mean())
+
+
+def full_kmeans_style_init(x, n_components, rng):
+    """Reference initialisation: one distance array over all frames, one loop step per component."""
+    centroids = x[rng.choice(x.shape[0], size=n_components, replace=False)]
+    assign = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    global_var = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
+    weights = np.empty(n_components)
+    means = centroids.copy()
+    variances = np.tile(global_var, (n_components, 1))
+    for c in range(n_components):
+        members = x[assign == c]
+        weights[c] = max(members.shape[0], 1)
+        if members.shape[0] > 0:
+            means[c] = members.mean(axis=0)
+        if members.shape[0] > 1:
+            variances[c] = np.maximum(members.var(axis=0), VARIANCE_FLOOR)
+    weights /= weights.sum()
+    return GmmModel(weights, means, variances), np.bincount(assign, minlength=n_components)
+
+
+def full_em_step(model, x):
+    """Reference M-step over full N x C responsibilities; returns the model and the mean log-likelihood."""
+    gamma, ll = full_responsibilities(model, x)
+    nk = gamma.sum(axis=0)
+    safe_nk = np.maximum(nk, 1e-12)
+    weights = nk / x.shape[0]
+    means = gamma.T @ x / safe_nk[:, None]
+    variances = np.maximum(gamma.T @ (x * x) / safe_nk[:, None] - means**2, VARIANCE_FLOOR)
+    return GmmModel(weights / weights.sum(), means, variances), ll
+
+
+def full_map_means(ubm, x, relevance):
+    gamma, _ = full_responsibilities(ubm, x)
+    nk = gamma.sum(axis=0)
+    ex = gamma.T @ x / np.maximum(nk, 1e-12)[:, None]
+    ex = np.where(nk[:, None] > 0.0, ex, ubm.means)
+    alpha = nk / (nk + relevance)
+    return alpha[:, None] * ex + (1.0 - alpha)[:, None] * ubm.means
+
+
+def assert_models_close(a, b, rtol):
+    for name in ("weights", "means", "variances"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=rtol, atol=0, err_msg=name)
+
+
+def traced_peak_mib(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockStatistics:
+    n, c, d, seed = 2 * _BLOCK + 37, 6, 3, 5
+
+    def frames(self):
+        """Frames whose initial centroids 0 and 1 are duplicate rows and centroid 2 an outlier row.
+
+        Ties go to the lower component, so centroid 1 owns no frame and centroid 2 only itself.
+        """
+        assert self.n % _BLOCK != 0  # the last block is a partial one
+        x = np.random.default_rng(20).normal(size=(self.n, self.d))
+        picked = np.random.default_rng(self.seed).choice(self.n, size=self.c, replace=False)
+        x[picked[1]] = x[picked[0]]
+        x[picked[2]] = 9.0
+        return x
+
+    def test_kmeans_init_matches_full_array_reference(self):
+        x = self.frames()
+        ref, counts = full_kmeans_style_init(x, self.c, np.random.default_rng(self.seed))
+        assert counts[1] == 0 and counts[2] == 1
+        got = _kmeans_style_init(x, self.c, np.random.default_rng(self.seed))
+        assert np.array_equal(got.weights, ref.weights)  # the counts of a bit-identical assignment
+        assert_models_close(got, ref, rtol=1e-12)
+
+    def test_em_step_matches_full_array_reference(self):
+        x = self.frames()
+        init, _ = full_kmeans_style_init(x, self.c, np.random.default_rng(self.seed))
+        ref, ref_ll = full_em_step(init, x)
+        got, history = train_ubm(x, self.c, iters=1, seed=self.seed)
+        assert_models_close(got, ref, rtol=1e-12)
+        assert history[0] == pytest.approx(ref_ll, rel=1e-12, abs=0)
+
+    def test_map_matches_full_array_reference(self):
+        rng = np.random.default_rng(21)
+        ubm = random_gmm(rng, 8, self.d)
+        x = rng.normal(size=(self.n, self.d))
+        got = map_adapt_means(ubm, x, relevance=14.0)
+        np.testing.assert_allclose(got.means, full_map_means(ubm, x, 14.0), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("step", ["train_ubm", "map_adapt_means"])
+    def test_memory_flat_in_frame_count(self, step):
+        c, d = 32, 10
+        rng = np.random.default_rng(22)
+        ubm = random_gmm(rng, c, d)
+        peaks = []
+        for n in (20000, 80000):
+            x = rng.normal(size=(n, d))
+            if step == "train_ubm":
+                peaks.append(traced_peak_mib(train_ubm, x, c, iters=1, seed=0))
+            else:
+                peaks.append(traced_peak_mib(map_adapt_means, ubm, x))
+        assert abs(peaks[1] - peaks[0]) <= 1.0, f"{step} peaks {peaks[0]:.1f} and {peaks[1]:.1f} MiB"

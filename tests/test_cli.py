@@ -141,6 +141,20 @@ class TestLearnScale:
         assert rc == 0, err
         assert len(out.strip().splitlines()) == n_filters + 2  # the knots: band midpoints and both ends
 
+    @pytest.mark.parametrize("n_filters", [100, 257])
+    def test_one_bin_end_band_names_n_filters(self, small_corpus, tmp_path, n_filters):
+        out_doc = tmp_path / "s.json"
+        proc = python_child(
+            "-m", "warpfilt.cli", "learn-scale", "--manifest", small_corpus["manifest"], "--out", out_doc,
+            "--scale", "speech-pitch", "--n-filters", n_filters,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: degenerate scale: "), lines
+        assert f"n_filters {n_filters}" in lines[0]
+        assert "band is one bin wide" in lines[0]
+        assert not out_doc.exists()
+
     def test_subsample_logged_and_honored(self, capsys, small_corpus, tmp_path, caplog):
         import logging
 
