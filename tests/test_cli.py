@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from synth import build_corpus
 
 import warpfilt
 from warpfilt import dsp, sad, store
@@ -79,6 +80,28 @@ def pipeline(tmp_path_factory, small_corpus):
     assert main(["enroll", "--manifest", str(small_corpus["enroll"]), "--features", str(art / "feats"), "--ubm", str(art / "ubm.json"), "--out", str(art / "models")]) == 0
     assert main(["score", "--trials", str(small_corpus["trials"]), "--models", str(art / "models"), "--ubm", str(art / "ubm.json"), "--features", str(art / "feats"), "--out", str(art / "scores.tsv")]) == 0
     return art
+
+
+@pytest.fixture(scope="module")
+def separable_scores(tmp_path_factory):
+    """Score files for train-ubm seeds 0, 1 and 2 on a 3-speaker corpus of 2-s utterances.
+
+    On 1-s utterances the EER of this chain is 0 for only some k-means draws, so
+    a test there pins one initialisation rather than the front end.
+    """
+    root = tmp_path_factory.mktemp("separable")
+    m, enroll, trials = build_corpus(root, n_speakers=3, n_utterances=4, duration_s=2.0, n_enroll=2, seed=11)
+    assert main(["learn-scale", "--manifest", str(m), "--out", str(root / "scale.json"), "--scale", "speech-pitch"]) == 0
+    assert main(["learn-filterbank", "--manifest", str(m), "--scale-doc", str(root / "scale.json"), "--out", str(root / "fb.json"), "--shape", "wpca-norm"]) == 0
+    assert main(["extract", "--manifest", str(m), "--filterbank", str(root / "fb.json"), "--out", str(root / "feats")]) == 0
+    scores = {}
+    for seed in (0, 1, 2):
+        ubm, models, out = root / f"ubm{seed}.json", root / f"models{seed}", root / f"scores{seed}.tsv"
+        assert main(["train-ubm", "--features", str(root / "feats"), "--out", str(ubm), "--ubm-components", "8", "--seed", str(seed)]) == 0
+        assert main(["enroll", "--manifest", str(enroll), "--features", str(root / "feats"), "--ubm", str(ubm), "--out", str(models)]) == 0
+        assert main(["score", "--trials", str(trials), "--models", str(models), "--ubm", str(ubm), "--features", str(root / "feats"), "--out", str(out)]) == 0
+        scores[seed] = out
+    return scores
 
 
 @pytest.fixture(scope="module")
@@ -387,8 +410,9 @@ class TestAsvCommands:
         trial_lines = (small_corpus["trials"]).read_text().strip().splitlines()
         assert len(scores.trials) == len(trial_lines)
 
-    def test_evaluate_separable_corpus(self, capsys, pipeline):
-        rc, out, _ = run(capsys, "evaluate", "--scores", pipeline / "scores.tsv")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evaluate_separable_corpus(self, capsys, separable_scores, seed):
+        rc, out, _ = run(capsys, "evaluate", "--scores", separable_scores[seed])
         assert rc == 0
         values = parse_kv(out)
         assert float(values["eer_percent"]) == 0.0
