@@ -35,6 +35,8 @@ class GmmModel:
         c, d = self.means.shape
         if self.weights.shape != (c,) or self.variances.shape != (c, d):
             raise ValueError("inconsistent mixture shapes")
+        if not all(np.isfinite(p).all() for p in (self.weights, self.means, self.variances)):
+            raise ValueError("mixture parameters must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):
@@ -152,14 +154,17 @@ def train_ubm(
 
 
 def map_adapt_means(ubm: GmmModel, features: np.ndarray, relevance: float = 14.0) -> GmmModel:
-    """Mean-only MAP adaptation with alpha_i = n_i / (n_i + relevance)."""
+    """Mean-only MAP adaptation with alpha_i = n_i / (n_i + relevance).
+
+    A component with no weight keeps its UBM mean (alpha 0) at any relevance.
+    """
     if relevance < 0.0:
         raise ValueError("relevance must be non-negative")
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[0] < 1:
         raise ValueError("need at least one adaptation frame")
     nk, s_x, _, _ = _accumulate(x, partial(_responsibilities, ubm))
-    alpha = (nk / (nk + relevance))[:, None]
+    alpha = np.divide(nk, nk + relevance, out=np.zeros_like(nk), where=nk > 0.0)[:, None]
     means = alpha * (s_x / np.maximum(nk, 1e-12)[:, None]) + (1.0 - alpha) * ubm.means
     return GmmModel(ubm.weights.copy(), means, ubm.variances.copy())
 

@@ -242,6 +242,8 @@ def cmd_learn_scale(args) -> int:
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
     else:
+        if cfg.n_filters > n_fft // 2 + 1:
+            raise ValueError(f"n_filters {cfg.n_filters}: more bands than bins ({n_fft // 2 + 1} at n_fft {n_fft})")
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
         pitch = cfg.pitch_config() if kind == "speech-based-pitch" else None
 

@@ -79,7 +79,7 @@ def place_filter_edges(
         raise ValueError("need at least one filter")
     k = n_fft // 2 + 1
     if k < q + 2:
-        raise ValueError("too few bins")
+        raise ValueError(f"too few bins: n_filters {q} needs {q + 2}, n_fft {n_fft} gives {k}")
     bin_hz = sample_rate_hz / n_fft
     warped = np.arange(q + 2) / (q + 1)
     bins = np.rint(scale.inverse(warped) / bin_hz).astype(np.int64)
@@ -89,7 +89,7 @@ def place_filter_edges(
         if bins[j] <= bins[j - 1]:
             bins[j] = bins[j - 1] + 1
     if bins[-1] > k - 1:
-        raise ValueError("too few bins")
+        raise ValueError(f"too few bins: n_filters {q} do not fit the {k} bins of n_fft {n_fft} on this scale")
     bins[-1] = k - 1
     return FilterbankLayout(bins, sample_rate_hz, n_fft)
 

@@ -1,6 +1,6 @@
 """Frequency warping scales: LTAS statistics, equal-area partition, mel closed form."""
 
-import math
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,11 +9,6 @@ from .dsp import PowerSpectrogram
 
 AREA_SHIFT = 1e-6
 SCALE_KINDS = ("mel", "speech-based", "speech-based-pitch")
-
-# Per-boundary candidate offsets around each cumulative-area target, and the cap
-# on exhaustive enumeration before falling back to greedy + coordinate descent.
-_CANDIDATE_OFFSETS = (-2, -1, 0, 1)
-_MAX_COMBOS = 1 << 18
 
 
 @dataclass
@@ -105,96 +100,78 @@ def _shifted_log(values: np.ndarray) -> np.ndarray:
     return log_v - log_v.min() + AREA_SHIFT
 
 
-def _band_areas(cum: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    stops = cum[edges]
-    return np.diff(stops, prepend=0.0)
+def _end_ranges(prefix: np.ndarray, lower: float, upper: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each prefix point i, the range [first, stop) of points e > i whose band area is in [lower, upper].
 
-
-def _greedy_edges(cum: np.ndarray, q: int) -> np.ndarray:
-    """Adaptive greedy: each boundary lands nearest the remaining-average target."""
-    k = cum.size
-    edges = np.empty(q, dtype=np.int64)
-    prev = -1
-    consumed = 0.0
-    for j in range(1, q):
-        target = consumed + (cum[-1] - consumed) / (q - j + 1)
-        pos = int(np.searchsorted(cum, target, side="left"))
-        if pos > 0 and abs(cum[pos - 1] - target) < abs(cum[pos] - target):
-            pos -= 1
-        pos = min(max(pos, prev + 1), k - 1 - (q - j))
-        edges[j - 1] = pos
-        prev = pos
-        consumed = cum[pos]
-    edges[q - 1] = k - 1
-    return edges
-
-
-def _coordinate_descent(cum: np.ndarray, edges: np.ndarray, max_pass: int = 50) -> np.ndarray:
-    edges = edges.copy()
-    q = edges.size
-
-    def spread(e):
-        a = _band_areas(cum, e)
-        return a.max() - a.min()
-
-    best = spread(edges)
-    for _ in range(max_pass):
-        improved = False
-        for i in range(q - 1):
-            lo = (edges[i - 1] if i > 0 else -1) + 1
-            hi = edges[i + 1] - 1
-            trial = edges.copy()
-            for pos in range(lo, hi + 1):
-                if pos == edges[i]:
-                    continue
-                trial[i] = pos
-                s = spread(trial)
-                if s < best - 1e-15:
-                    best = s
-                    edges[i] = pos
-                    improved = True
-            trial[i] = edges[i]
-        if not improved:
-            break
-    return edges
-
-
-def _best_candidate_edges(cum: np.ndarray, q: int) -> np.ndarray:
-    """Minimum-spread boundaries over a small candidate set per cumulative target.
-
-    Each internal boundary draws candidates around the bin where the cumulative
-    log area first reaches its target; ties resolve to the earliest boundaries.
+    The bounds are widened by a few ulps of the total so that a band whose area
+    is a bound, computed as a difference of prefix sums, still fits.
     """
-    k = cum.size
-    total = cum[-1]
-    greedy = _greedy_edges(cum, q)
-    cand_sets = []
-    for j in range(1, q):
-        target = j * total / q
-        first = int(np.searchsorted(cum, target, side="left"))
-        cands = {min(max(first + off, j - 1), k - 1 - (q - j)) for off in _CANDIDATE_OFFSETS}
-        cands.add(int(greedy[j - 1]))
-        cand_sets.append(sorted(cands))
-    n_combos = math.prod(len(c) for c in cand_sets)  # Python ints: 4**(q-1) overflows int64
-    if n_combos > _MAX_COMBOS:
-        return _coordinate_descent(cum, greedy)
-    combos = np.zeros((1, 0), dtype=np.int64)
-    # Every combination, the last boundary varying fastest, so ties resolve to the earliest edges.
-    for cands in cand_sets:
-        combos = np.column_stack([np.repeat(combos, len(cands), axis=0), np.tile(cands, combos.shape[0])])
-    if q > 2:
-        combos = combos[np.all(np.diff(combos, axis=1) > 0, axis=1)]
-    if combos.shape[0] == 0:
-        return greedy
-    edges = np.concatenate([combos, np.full((combos.shape[0], 1), k - 1, dtype=np.int64)], axis=1)
-    stops = cum[edges]
-    areas = np.diff(stops, prepend=0.0, axis=1)
-    spreads = areas.max(axis=1) - areas.min(axis=1)
-    return edges[int(spreads.argmin())]
+    slack = 4.0 * np.finfo(np.float64).eps * prefix[-1]
+    first = np.maximum(np.searchsorted(prefix, prefix + (lower - slack)), np.arange(1, prefix.size + 1))
+    stop = np.searchsorted(prefix, prefix + (upper + slack), side="right")
+    return first, stop
+
+
+def _finishing(first: np.ndarray, stop: np.ndarray, q: int) -> list[np.ndarray]:
+    """Masks m[j] of the prefix points from which j bands, each within the ranges, end at the last point."""
+    can = np.zeros(first.size, dtype=bool)
+    can[-1] = True
+    masks = [can]
+    count = np.zeros(first.size + 1, dtype=np.int64)
+    for _ in range(q):
+        can.cumsum(out=count[1:])
+        can = count[stop] > count[first]
+        masks.append(can)
+    return masks
+
+
+def _min_spread_edges(cum: np.ndarray, q: int) -> np.ndarray:
+    """Exact minimum-spread boundaries of Q contiguous bands.
+
+    The least and largest band areas L <= T/Q <= U of an optimal partition are
+    sums over contiguous bins. Whether Q bands fit in [L, U] is a reachability
+    check over the prefix sums, and the least feasible U never falls as L rises,
+    so a sweep along that staircase, one binary search per step, visits every
+    candidate optimum. Areas are compared to within a few ulps of T. Ties go to
+    the smallest L, then to the earliest boundaries.
+    """
+    prefix = np.concatenate(([0.0], cum))
+    total = prefix[-1]
+    sums = (prefix[None, :] - prefix[:, None])[np.triu_indices(prefix.size, 1)]
+    lows = np.unique(np.append(sums[sums <= total / q], 0.0))
+    highs = np.unique(np.append(sums[sums >= total / q], total))
+
+    def fits(lower, upper):
+        return bool(_finishing(*_end_ranges(prefix, lower, upper), q)[-1][0])
+
+    def spread(pair):
+        return highs[pair[1]] - lows[pair[0]]
+
+    best = (0, highs.size - 1)  # L = 0, U = T: any Q bands fit
+    a, b = -1, 0
+    while a + 1 < lows.size:
+        # The least U that admits the next L, then the largest L that this U admits.
+        # A U at or above lows[-1] + spread(best) cannot improve on best.
+        last = int(np.searchsorted(highs, lows[-1] + spread(best))) - 1
+        b = bisect.bisect_left(range(last + 1), True, b, key=lambda j: fits(lows[a + 1], highs[j]))
+        if b > last:
+            break
+        a = bisect.bisect_left(range(lows.size), True, a + 2, key=lambda i: not fits(lows[i], highs[b])) - 1
+        if spread((a, b)) < spread(best):
+            best = (a, b)
+        b += 1
+    first, stop = _end_ranges(prefix, lows[best[0]], highs[best[1]])
+    masks = _finishing(first, stop, q)
+    edges = np.empty(q, dtype=np.int64)
+    point = 0
+    for j in range(q):
+        point = int(first[point] + np.argmax(masks[q - 1 - j][first[point] : stop[point]]))
+        edges[j] = point - 1
+    return edges
 
 
 def partition_areas(areas: np.ndarray, q: int) -> BandPartition:
-    """Split a non-negative area vector into Q contiguous bands of near-equal sums."""
+    """Split a non-negative area vector into Q contiguous bands whose sums spread the least."""
     areas = np.asarray(areas, dtype=np.float64)
     k = areas.size
     if q < 2:
@@ -202,13 +179,13 @@ def partition_areas(areas: np.ndarray, q: int) -> BandPartition:
     if q > k:
         raise ValueError("more bands than bins")
     cum = np.cumsum(areas)
-    edges = _best_candidate_edges(cum, q)
+    edges = _min_spread_edges(cum, q)
     bands = []
     lo = 0
     for e in edges:
         bands.append((lo, int(e)))
         lo = int(e) + 1
-    return BandPartition(bands, _band_areas(cum, edges))
+    return BandPartition(bands, np.diff(cum[edges], prepend=0.0))
 
 
 def equal_area_partition(avg_ltas: Ltas, q: int) -> BandPartition:

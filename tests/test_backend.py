@@ -104,6 +104,13 @@ class TestMapAdaptMeans:
         adapted = map_adapt_means(self.ubm(), data, relevance=0.0)
         assert np.allclose(adapted.means[1], data.mean(axis=0), atol=1e-9)
 
+    def test_zero_relevance_keeps_component_without_weight(self):
+        ubm = GmmModel(np.array([0.5, 0.5]), np.array([[-50.0, -50.0], [5.0, 5.0]]), np.ones((2, 2)))
+        data = np.random.default_rng(5).normal(5.0, 1.0, size=(100, 2))
+        adapted = map_adapt_means(ubm, data, relevance=0.0)
+        assert np.array_equal(adapted.means[0], ubm.means[0])
+        assert np.allclose(adapted.means[1], data.mean(axis=0), atol=1e-9)
+
     def test_midpoint_at_matching_relevance(self):
         rng = np.random.default_rng(6)
         ubm = GmmModel(np.array([1.0]), np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]]))
@@ -304,6 +311,14 @@ class TestGmmModelValidation:
     def test_variance_floor(self):
         with pytest.raises(ValueError, match="floor"):
             GmmModel(np.array([1.0]), np.zeros((1, 2)), np.full((1, 2), 1e-6))
+
+    @pytest.mark.parametrize("field", ["weights", "means", "variances"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)), "variances": np.ones((2, 2))}
+        params[field].flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            GmmModel(**params)
 
     def test_trial_label_validation(self):
         with pytest.raises(ValueError):

@@ -164,7 +164,15 @@ class TestLearnScale:
         assert rc == 0, err
         assert len(out.strip().splitlines()) == n_filters + 2  # the knots: band midpoints and both ends
 
-    @pytest.mark.parametrize("n_filters", [100, 257])
+    def test_speech_pitch_scale_at_100_filters(self, capsys, small_corpus, tmp_path):
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--out", tmp_path / "s.json",
+            "--scale", "speech-pitch", "--n-filters", 100,
+        )
+        assert rc == 0, err
+        assert len(out.strip().splitlines()) == 102
+
+    @pytest.mark.parametrize("n_filters", [105, 257])
     def test_one_bin_end_band_names_n_filters(self, small_corpus, tmp_path, n_filters):
         out_doc = tmp_path / "s.json"
         proc = python_child(
@@ -177,6 +185,30 @@ class TestLearnScale:
         assert f"n_filters {n_filters}" in lines[0]
         assert "band is one bin wide" in lines[0]
         assert not out_doc.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["learn-scale", "--scale", "speech"], "n_filters 300: more bands than bins (257 at n_fft 512)"),
+            (
+                ["learn-filterbank", "--scale-doc", "SCALE", "--shape", "wpca-norm"],
+                "too few bins: n_filters 300 needs 302, n_fft 512 gives 257",
+            ),
+        ],
+        ids=["learn-scale", "learn-filterbank"],
+    )
+    def test_too_many_filters_named_before_corpus_pass(
+        self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command, message
+    ):
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        argv = [pipeline / "scale.json" if a == "SCALE" else a for a in command]
+        rc, _, err = run(
+            capsys, argv[0], "--manifest", small_corpus["manifest"], *argv[1:], "--out", tmp_path / "out",
+            "--n-filters", 300,
+        )
+        assert rc == 2
+        assert err.splitlines() == [f"error: {message}"]
+        assert loaded == [] and not (tmp_path / "out").exists()
 
     def test_subsample_logged_and_honored(self, capsys, small_corpus, tmp_path, caplog):
         import logging

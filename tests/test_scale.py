@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warpfilt
 
@@ -92,6 +94,49 @@ def brute_force_spread(areas, q):
     return best
 
 
+def earlier_search_spread(areas, q):
+    """Spread of the search that preceded the exact one, on its path for Q >= 11 at K = 257.
+
+    There its candidate count exceeded the enumeration cap, so it placed each
+    boundary nearest the remaining-average target and then moved one boundary
+    at a time while the spread fell.
+    """
+    cum = np.cumsum(areas)
+    k = cum.size
+
+    def spread(e):
+        a = np.diff(cum[e], prepend=0.0)
+        return a.max() - a.min()
+
+    edges = np.empty(q, dtype=np.int64)
+    prev, consumed = -1, 0.0
+    for j in range(1, q):
+        target = consumed + (cum[-1] - consumed) / (q - j + 1)
+        pos = int(np.searchsorted(cum, target, side="left"))
+        if pos > 0 and abs(cum[pos - 1] - target) < abs(cum[pos] - target):
+            pos -= 1
+        prev = edges[j - 1] = min(max(pos, prev + 1), k - 1 - (q - j))
+        consumed = cum[prev]
+    edges[q - 1] = k - 1
+    best = spread(edges)
+    for _ in range(50):
+        improved = False
+        for i in range(q - 1):
+            lo = (edges[i - 1] if i > 0 else -1) + 1
+            trial = edges.copy()
+            for pos in range(lo, edges[i + 1]):
+                if pos == edges[i]:
+                    continue
+                trial[i] = pos
+                s = spread(trial)
+                if s < best - 1e-15:
+                    best, edges[i], improved = s, pos, True
+            trial[i] = edges[i]
+        if not improved:
+            break
+    return best
+
+
 class TestPartition:
     def test_flat_spectrum_uniform_bands(self):
         part = equal_area_partition(Ltas(np.ones(256), 1, 1.0), 4)
@@ -121,14 +166,34 @@ class TestPartition:
             assert all(h >= l for l, h in part.bands)
             spread = part.areas.max() - part.areas.min()
             assert spread <= areas_vec.max() + 1e-9
-            assert spread <= brute_force_spread(areas_vec, q) + areas_vec.max() + 1e-9
+            assert spread <= brute_force_spread(areas_vec, q) + 1e-9
+
+    @pytest.mark.parametrize("q", [12, 20, 32, 64])
+    def test_one_bin_bound_at_cli_band_counts(self, q):
+        rng = np.random.default_rng(q)
+        for _ in range(200):
+            areas = shifted_log(rng.uniform(0.01, 5.0, size=257))
+            part = partition_areas(areas, q)
+            spread = part.areas.max() - part.areas.min()
+            assert spread <= areas.max() + 1e-9
+            assert spread <= earlier_search_spread(areas, q) + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_minimum_spread_equals_brute_force(self, data):
+        k = data.draw(st.integers(2, 12))
+        q = data.draw(st.integers(2, k))
+        areas = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=k, max_size=k)))
+        part = partition_areas(areas, q)
+        assert part.bands[0][0] == 0 and part.bands[-1][1] == k - 1
+        assert all(lo <= hi and hi + 1 == nxt for (lo, hi), (nxt, _) in zip(part.bands, part.bands[1:] + [(k, 0)]))
+        assert abs((part.areas.max() - part.areas.min()) - brute_force_spread(areas, q)) <= 1e-9
 
     @pytest.mark.parametrize("q", [40, 128])
     def test_many_bands_within_memory(self, q):
-        # On a speech-like slope the candidate count exceeds 2**64 from q = 33;
-        # counted in int64 it wraps to 0, passes the enumeration cap and the
-        # exhaustive product exhausts memory. The child's 1.5 GB address-space
-        # limit turns that into a failure instead of taking the machine's memory.
+        # The search holds the contiguous sums of K bins and Q + 1 masks over the
+        # prefix points; any growth past that shows as a failure under the
+        # child's 1.5 GB address-space limit instead of taking the machine's memory.
         script = (
             "import json, resource, sys; import numpy as np; "
             "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20)); "
