@@ -48,11 +48,10 @@ from .features import (
 from .filterbank import (
     Filterbank,
     FilterbankLayout,
-    SubbandStatistics,
     learn_pca_filterbank,
-    pca_filterbank,
     pca_first_basis,
     place_filter_edges,
+    subband_covariance,
     triangular_responses,
 )
 from .sad import PitchConfig, PitchTrack, bi_gaussian_sad, frame_log_energy, track_pitch, voiced_mask

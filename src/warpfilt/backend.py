@@ -35,8 +35,9 @@ class GmmModel:
         c, d = self.means.shape
         if self.weights.shape != (c,) or self.variances.shape != (c, d):
             raise ValueError("inconsistent mixture shapes")
-        if not all(np.isfinite(p).all() for p in (self.weights, self.means, self.variances)):
-            raise ValueError("mixture parameters must be finite")
+        for name in ("weights", "means", "variances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):

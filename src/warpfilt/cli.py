@@ -233,6 +233,8 @@ def _provenance(cfg: RunConfig, manifest_path: str | None) -> dict:
 
 def cmd_learn_scale(args) -> int:
     cfg = _config_from_args(args)
+    out = Path(args.out)
+    _refuse_existing(out, args.overwrite)
     manifest = store.load_manifest(args.manifest)
     if not manifest.entries:
         raise ValueError("no utterances")
@@ -242,6 +244,8 @@ def cmd_learn_scale(args) -> int:
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
     else:
+        if cfg.n_filters < 2:
+            raise ValueError(f"n_filters {cfg.n_filters}: need at least two bands")
         if cfg.n_filters > n_fft // 2 + 1:
             raise ValueError(f"n_filters {cfg.n_filters}: more bands than bins ({n_fft // 2 + 1} at n_fft {n_fft})")
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
@@ -253,8 +257,6 @@ def cmd_learn_scale(args) -> int:
         avg = scale.average_ltas(list(_utterance_pass(entries, sr, cfg.jobs, ltas)))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
         warping = scale.build_warping_scale(partition, avg.bin_hz, sr / 2.0, kind)
-    out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
     doc = store.scale_document(warping, sr, n_fft, _provenance(cfg, args.manifest))
     store.save_model(doc, out)
     for f_hz, w in zip(warping.knots_hz, warping.knots_warped):
@@ -265,6 +267,8 @@ def cmd_learn_scale(args) -> int:
 
 def cmd_learn_filterbank(args) -> int:
     cfg = _config_from_args(args)
+    out = Path(args.out)
+    _refuse_existing(out, args.overwrite)
     scale_doc = store.load_model(args.scale_doc, expect_kind="warping-scale")
     warping = store.scale_from_document(scale_doc)
     n_fft = scale_doc.n_fft
@@ -280,19 +284,14 @@ def cmd_learn_filterbank(args) -> int:
             raise ValueError("no utterances")
         _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg)
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
-        taper = shape_kind in ("windowed-pca", "windowed-pca-normalized")
 
         def speech_log_spectra(seg):
             spec, mask = utterance_spectra(seg, cfg, n_fft)
             return np.log(spec.frames[mask] + sad.ENERGY_EPS)
 
-        # Added in manifest order, so the filterbank does not depend on --jobs.
-        stats = filterbank.SubbandStatistics(layout, taper)
-        for log_spec in _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra):
-            stats.add(log_spec)
-        fb = filterbank.pca_filterbank(stats, normalize=shape_kind == "windowed-pca-normalized")
-    out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
+        # Yielded in manifest order, so the filterbank does not depend on --jobs.
+        log_spectra = _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
+        fb = filterbank.learn_pca_filterbank(log_spectra, layout, shape_kind)
     manifest_path = args.manifest if shape_kind != "triangular" else None
     store.save_model(store.filterbank_document(fb, _provenance(cfg, manifest_path)), out)
     print(f"filters\t{fb.n_filters}")
@@ -339,6 +338,8 @@ def cmd_extract(args) -> int:
 
 def cmd_fratio(args) -> int:
     cfg = _config_from_args(args)
+    if args.out is not None:
+        _refuse_existing(Path(args.out), args.overwrite)
     manifest = store.load_manifest(args.manifest)
     speakers = manifest.speakers()
     if len(speakers) < 2:
@@ -366,10 +367,17 @@ def cmd_fratio(args) -> int:
     report = analysis.f_ratio_report(variants)
     print(report.to_text())
     if args.out is not None:
-        out = Path(args.out)
-        _refuse_existing(out, args.overwrite)
-        out.write_text(report.to_tsv(), encoding="utf-8")
+        Path(args.out).write_text(report.to_tsv(), encoding="utf-8")
     return EXIT_OK
+
+
+def _load_gmm(path) -> backend.GmmModel:
+    """The GMM in the model document at path; a ValueError from its parameters names the file."""
+    doc = store.load_model(path, expect_kind="gmm")
+    try:
+        return store.gmm_from_document(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def _read_feature_dir(features_dir: Path) -> dict:
@@ -381,11 +389,11 @@ def _read_feature_dir(features_dir: Path) -> dict:
 
 def cmd_train_ubm(args) -> int:
     cfg = _config_from_args(args)
+    out = Path(args.out)
+    _refuse_existing(out, args.overwrite)
     feature_files = _read_feature_dir(Path(args.features))
     frames = np.vstack([store.read_features(p).speech_frames for p in feature_files.values()])
     model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
-    out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
     prov = _provenance(cfg, None)
     prov["em_log_likelihoods"] = [float(v) for v in history]
     store.save_model(store.gmm_document(model, 0, 0, prov), out)
@@ -401,7 +409,7 @@ def cmd_enroll(args) -> int:
     speakers = manifest.speakers()
     if not speakers:
         raise ValueError("manifest has no speaker_ids")
-    ubm = store.gmm_from_document(store.load_model(args.ubm, expect_kind="gmm"))
+    ubm = _load_gmm(args.ubm)
     feature_files = _read_feature_dir(Path(args.features))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -426,10 +434,12 @@ def cmd_enroll(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _config_from_args(args)
+    out = Path(args.out)
+    _refuse_existing(out, args.overwrite)
     trials = store.read_trials(args.trials)
     if not trials.trials:
         raise ValueError("no trials")
-    ubm = store.gmm_from_document(store.load_model(args.ubm, expect_kind="gmm"))
+    ubm = _load_gmm(args.ubm)
     models_dir = Path(args.models)
     feature_files = _read_feature_dir(Path(args.features))
     enroll_models = {}
@@ -439,7 +449,7 @@ def cmd_score(args) -> int:
             path = models_dir / f"{t.enroll_id}.json"
             if not path.exists():
                 raise ValueError(f"no enrolled model for {t.enroll_id}")
-            enroll_models[t.enroll_id] = store.gmm_from_document(store.load_model(path, expect_kind="gmm"))
+            enroll_models[t.enroll_id] = _load_gmm(path)
         if t.test_id not in feature_files:
             raise ValueError(f"no features for test segment {t.test_id}")
         by_test.setdefault(t.test_id, []).append(i)
@@ -457,8 +467,6 @@ def cmd_score(args) -> int:
     scored = backend.TrialScoreSet(
         [dataclasses.replace(t, score=scores[i]) for i, t in enumerate(trials.trials)]
     )
-    out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
     store.write_scores(scored, out)
     print(f"trials\t{len(scored.trials)}")
     return EXIT_OK
@@ -466,6 +474,8 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
+    if args.det_out is not None:
+        _refuse_existing(Path(args.det_out), args.overwrite)
     scores = store.read_scores(args.scores)
     if args.fuse_with is not None:
         scores = backend.fuse_scores(scores, store.read_scores(args.fuse_with))
@@ -476,8 +486,6 @@ def cmd_evaluate(args) -> int:
     print(f"eer_percent\t{100.0 * eer_value:.4f}")
     print(f"min_dcf_x100\t{100.0 * dcf_value:.4f}")
     if args.det_out is not None:
-        out = Path(args.det_out)
-        _refuse_existing(out, args.overwrite)
         from scipy.special import ndtri  # deferred: only --det-out needs it
 
         # The standard normal quantile; -inf at 0 and inf at 1, as norm.ppf gives.
@@ -486,7 +494,7 @@ def cmd_evaluate(args) -> int:
         lines = ["threshold\tp_miss\tp_fa\tprobit_miss\tprobit_fa"]
         for row in zip(curve.thresholds, curve.p_miss, curve.p_fa, probit_miss, probit_fa):
             lines.append("\t".join(repr(float(v)) for v in row))
-        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.det_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 
 

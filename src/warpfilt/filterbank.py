@@ -12,6 +12,8 @@ logger = logging.getLogger(__name__)
 
 SHAPE_KINDS = ("triangular", "pca", "windowed-pca", "windowed-pca-normalized")
 
+_BLOCK_FRAMES = 8192
+
 
 @dataclass
 class FilterbankLayout:
@@ -112,75 +114,58 @@ def triangular_responses(layout: FilterbankLayout) -> Filterbank:
     return Filterbank(layout, responses, "triangular")
 
 
-class SubbandStatistics:
-    """Frame count, mean and scatter matrix of every (optionally tapered) subband of a layout.
+def subband_covariance(log_spectra, layout: FilterbankLayout, taper: bool = False) -> list[np.ndarray]:
+    """Sample covariance of every subband of a layout, Hamming-tapered if taper, one per filter.
 
-    Log spectra are added in batches of any size, one utterance each say. Their rows
-    are folded into the statistics in blocks of block_frames rows, each block merged
-    with the pairwise update of Chan, Golub & LeVeque (1979). So the result depends on
-    the sequence of rows only, not on how it was split into batches, and memory holds
-    one block, not the corpus. Up to block_frames rows give the two-pass covariance
-    exactly.
+    log_spectra is an iterable of batches of log spectra, one frame per row; one
+    batch per utterance, say. Rows are copied into a block of _BLOCK_FRAMES rows, and
+    each full block is merged into the statistics with the pairwise update of Chan,
+    Golub & LeVeque (1979). So the result depends on the sequence of rows only, not
+    on how it was split into batches, and memory holds one block, not the corpus.
+    Up to _BLOCK_FRAMES rows give the two-pass covariance exactly.
     """
+    bands = [layout.subband(j) for j in range(1, layout.n_filters + 1)]
+    windows = [hamming_window(hi - lo + 1) if taper else None for lo, hi in bands]
+    means = [None] * len(bands)
+    scatters = [None] * len(bands)
+    block = np.empty((_BLOCK_FRAMES, layout.n_bins))
+    filled = folded = 0
 
-    def __init__(self, layout: FilterbankLayout, taper: bool = False, block_frames: int = 8192):
-        if block_frames < 2:
-            raise ValueError("blocks need >=2 frames")
-        self.layout = layout
-        self.taper = taper
-        self.bands = [layout.subband(j) for j in range(1, layout.n_filters + 1)]
-        self._windows = [hamming_window(hi - lo + 1) if taper else None for lo, hi in self.bands]
-        self._block = np.empty((block_frames, layout.n_bins))
-        self._filled = 0
-        self._folded = 0
-        self._means = [np.zeros(hi - lo + 1) for lo, hi in self.bands]
-        self._scatters = [np.zeros((hi - lo + 1, hi - lo + 1)) for lo, hi in self.bands]
-
-    @property
-    def n_frames(self) -> int:
-        return self._folded + self._filled
-
-    def add(self, log_specs: np.ndarray) -> None:
-        """Add log spectra, one frame per row."""
-        log_specs = np.atleast_2d(np.asarray(log_specs, dtype=np.float64))
-        if log_specs.shape[1] != self.layout.n_bins:
-            raise ValueError("log spectra width must equal the layout bin count")
-        start = 0
-        while start < log_specs.shape[0]:
-            take = min(log_specs.shape[0] - start, self._block.shape[0] - self._filled)
-            self._block[self._filled : self._filled + take] = log_specs[start : start + take]
-            self._filled += take
-            start += take
-            if self._filled == self._block.shape[0]:
-                self._fold()
-
-    def _fold(self) -> None:
-        rows = self._block[: self._filled]
-        n_a, n_b = self._folded, self._filled
-        n = n_a + n_b
-        for j, ((lo, hi), window) in enumerate(zip(self.bands, self._windows)):
+    def fold():
+        rows = block[:filled]
+        n = folded + filled
+        for j, ((lo, hi), window) in enumerate(zip(bands, windows)):
             sliced = rows[:, lo : hi + 1]
             if window is not None:
                 sliced = sliced * window
             mean = sliced.mean(axis=0)
             centered = sliced - mean
             scatter = centered.T @ centered
-            if n_a == 0:
-                self._means[j], self._scatters[j] = mean, scatter
+            if folded == 0:
+                means[j], scatters[j] = mean, scatter
                 continue
-            delta = mean - self._means[j]
-            self._means[j] = self._means[j] + delta * (n_b / n)
-            self._scatters[j] = self._scatters[j] + scatter + np.outer(delta, delta) * (n_a * n_b / n)
-        self._folded = n
-        self._filled = 0
+            delta = mean - means[j]
+            means[j] = means[j] + delta * (filled / n)
+            scatters[j] = scatters[j] + scatter + np.outer(delta, delta) * (folded * filled / n)
+        return n
 
-    def covariance(self, j: int) -> np.ndarray:
-        """Sample covariance of filter j's subband (1-based)."""
-        if self.n_frames < 2:
-            raise ValueError("need >=2 frames")
-        if self._filled:
-            self._fold()
-        return self._scatters[j - 1] / (self._folded - 1)
+    for batch in log_spectra:
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        if batch.shape[1] != layout.n_bins:
+            raise ValueError("log spectra width must equal the layout bin count")
+        start = 0
+        while start < batch.shape[0]:
+            take = min(batch.shape[0] - start, block.shape[0] - filled)
+            block[filled : filled + take] = batch[start : start + take]
+            filled += take
+            start += take
+            if filled == block.shape[0]:
+                folded, filled = fold(), 0
+    if folded + filled < 2:
+        raise ValueError("need >=2 frames")
+    if filled:
+        folded = fold()
+    return [scatter / (folded - 1) for scatter in scatters]
 
 
 def pca_first_basis(s: np.ndarray) -> np.ndarray:
@@ -200,41 +185,25 @@ def pca_first_basis(s: np.ndarray) -> np.ndarray:
     return v
 
 
-def learn_pca_filterbank(
-    log_specs: np.ndarray,
-    layout: FilterbankLayout,
-    taper: bool = False,
-    normalize: bool = False,
-) -> Filterbank:
+def learn_pca_filterbank(log_spectra, layout: FilterbankLayout, kind: str) -> Filterbank:
     """Per-filter dominant PCA basis of subband log spectra, zero-padded to full band.
 
-    Degenerate (zero-variance) subbands fall back to the triangular response.
+    log_spectra is an iterable of batches, as subband_covariance takes. kind is one of
+    the PCA SHAPE_KINDS: the windowed kinds taper each subband with a Hamming window,
+    and "windowed-pca-normalized" scales each response to unit peak. Degenerate
+    (zero-variance) subbands fall back to the triangular response.
     """
-    stats = SubbandStatistics(layout, taper)
-    stats.add(log_specs)
-    return pca_filterbank(stats, normalize)
-
-
-def pca_filterbank(stats: SubbandStatistics, normalize: bool = False) -> Filterbank:
-    """learn_pca_filterbank from the subband statistics of a corpus."""
-    if normalize and not stats.taper:
-        raise ValueError("normalization is only defined for the windowed variant")
-    if stats.n_frames < 2:
-        raise ValueError("need >=2 frames")
-    layout = stats.layout
+    if kind == "triangular" or kind not in SHAPE_KINDS:
+        raise ValueError(f"not a PCA shape kind: {kind!r}")
+    covariances = subband_covariance(log_spectra, layout, taper=kind != "pca")
     responses = np.zeros((layout.n_filters, layout.n_bins))
-    for j, (lo, hi) in enumerate(stats.bands, start=1):
+    for j, covariance in enumerate(covariances, start=1):
+        lo, hi = layout.subband(j)
         try:
-            basis = pca_first_basis(stats.covariance(j))
+            responses[j - 1, lo : hi + 1] = pca_first_basis(covariance)
         except ValueError:
             logger.warning("degenerate subband for filter %d; using triangular shape", j)
             responses[j - 1] = _triangle(layout, j)
-            continue
-        responses[j - 1, lo : hi + 1] = basis
-    if normalize:
+    if kind == "windowed-pca-normalized":
         responses = responses / responses.max(axis=1, keepdims=True)
-    if stats.taper:
-        kind = "windowed-pca-normalized" if normalize else "windowed-pca"
-    else:
-        kind = "pca"
     return Filterbank(layout, responses, kind)

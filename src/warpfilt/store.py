@@ -310,6 +310,8 @@ def read_scores(path: str | Path) -> TrialScoreSet:
             value = float(parts[3])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed score value") from None
+        if not np.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite score")
         key = (parts[0], parts[1])
         if key in seen:
             raise ValueError(f"{path}:{lineno}: duplicate trial {key}")

@@ -169,9 +169,9 @@ def test_criterion_05_triangular_filterbank():
     log_specs = rng.normal(size=(200, layout.n_bins))
     banks = [
         fb,
-        learn_pca_filterbank(log_specs, layout, taper=False),
-        learn_pca_filterbank(log_specs, layout, taper=True),
-        learn_pca_filterbank(log_specs, layout, taper=True, normalize=True),
+        learn_pca_filterbank([log_specs], layout, "pca"),
+        learn_pca_filterbank([log_specs], layout, "windowed-pca"),
+        learn_pca_filterbank([log_specs], layout, "windowed-pca-normalized"),
     ]
     for other in banks[1:]:
         assert np.array_equal(other.layout.boundary_bins, layout.boundary_bins)

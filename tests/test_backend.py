@@ -317,7 +317,7 @@ class TestGmmModelValidation:
     def test_non_finite_parameters_rejected(self, field, value):
         params = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)), "variances": np.ones((2, 2))}
         params[field].flat[0] = value
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             GmmModel(**params)
 
     def test_trial_label_validation(self):

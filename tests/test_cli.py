@@ -210,6 +210,16 @@ class TestLearnScale:
         assert err.splitlines() == [f"error: {message}"]
         assert loaded == [] and not (tmp_path / "out").exists()
 
+    def test_one_filter_named_before_corpus_pass(self, capsys, monkeypatch, small_corpus, tmp_path):
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, _, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech",
+            "--n-filters", 1, "--out", tmp_path / "out",
+        )
+        assert rc == 2
+        assert err.splitlines() == ["error: n_filters 1: need at least two bands"]
+        assert loaded == [] and not (tmp_path / "out").exists()
+
     def test_subsample_logged_and_honored(self, capsys, small_corpus, tmp_path, caplog):
         import logging
 
@@ -552,6 +562,59 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: test segment {test_id}: no speech frames to score"]
         assert not (tmp_path / "scores.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["learn-scale", "--manifest", "MANIFEST", "--scale", "speech", "--out"],
+            ["learn-filterbank", "--manifest", "MANIFEST", "--scale-doc", "ART/scale.json", "--shape", "wpca-norm", "--out"],
+            ["fratio", "--manifest", "MANIFEST", "--filterbanks", "ART/fb.json", "--out"],
+            ["train-ubm", "--features", "ART/feats", "--ubm-components", "8", "--out"],
+            [
+                "score", "--trials", "TRIALS", "--models", "ART/models", "--ubm", "ART/ubm.json",
+                "--features", "ART/feats", "--out",
+            ],
+            ["evaluate", "--scores", "ART/scores.tsv", "--det-out"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_existing_output_refused_before_work(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command):
+        existing = tmp_path / "existing"
+        existing.write_text("kept\n")
+        reads = [count_calls(monkeypatch, store, name) for name in ("load_wav", "read_features", "read_scores")]
+        names = {"MANIFEST": small_corpus["manifest"], "TRIALS": small_corpus["trials"]}
+        argv = [names.get(a, pipeline / a[4:] if a.startswith("ART/") else a) for a in command]
+        rc, out, err = run(capsys, *argv, existing)
+        assert rc == 2
+        assert err.splitlines() == [f"error: {existing} exists; pass --overwrite to replace it"]
+        assert out == "" and reads == [[], [], []]
+        assert existing.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("label, value", [("target", "nan"), ("impostor", "nan"), ("impostor", "-inf")])
+    def test_evaluate_rejects_non_finite_score(self, capsys, pipeline, tmp_path, label, value):
+        lines = (pipeline / "scores.tsv").read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.split("\t")[2] == label)
+        lines[lineno - 1] = "\t".join(lines[lineno - 1].split("\t")[:3] + [value])
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join(lines) + "\n")
+        rc, out, err = run(capsys, "evaluate", "--scores", scores)
+        assert rc == 2
+        assert err.splitlines() == [f"error: {scores}:{lineno}: non-finite score"]
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["enroll", "score"])
+    def test_gmm_document_error_names_file_and_field(self, capsys, small_corpus, pipeline, tmp_path, command):
+        doc = load_model(pipeline / "ubm.json")
+        doc.payload["means"][0][0] = float("nan")
+        ubm = tmp_path / "ubm.json"
+        store.save_model(doc, ubm)  # a fresh checksum, as a hand edit would get
+        if command == "enroll":
+            rest = ["--manifest", small_corpus["enroll"], "--out", tmp_path / "models"]
+        else:
+            rest = ["--trials", small_corpus["trials"], "--models", pipeline / "models", "--out", tmp_path / "s.tsv"]
+        rc, _, err = run(capsys, command, "--ubm", ubm, "--features", pipeline / "feats", *rest)
+        assert rc == 2
+        assert err.splitlines() == [f"error: {ubm}: means must be finite"]
 
 
 class TestStartup:

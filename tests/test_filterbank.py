@@ -4,20 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from warpfilt import filterbank
 from warpfilt.dsp import hamming_window
 from warpfilt.filterbank import (
     FilterbankLayout,
-    SubbandStatistics,
     learn_pca_filterbank,
-    pca_filterbank,
     pca_first_basis,
     place_filter_edges,
+    subband_covariance,
     triangular_responses,
 )
 from warpfilt.scale import WarpingScale, mel_warping_scale
 
 
-def subband_covariance(log_specs, band, taper=None):
+def two_pass_covariance(log_specs, band, taper=None):
     """Reference: two-pass sample covariance and mean of (optionally tapered) subband log spectra."""
     log_specs = np.atleast_2d(np.asarray(log_specs, dtype=np.float64))
     if log_specs.shape[0] < 2:
@@ -96,24 +96,32 @@ class TestTriangularResponses:
 
 class TestSubbandCovariance:
     def test_identical_rows_zero(self):
-        cov, _ = subband_covariance(np.tile([1.0, 2.0, 3.0], (5, 1)), (0, 2))
+        rows = np.tile([1.0, 2.0, 3.0], (5, 1))
+        cov, _ = two_pass_covariance(rows, (0, 2))
         assert np.allclose(cov, 0.0, atol=1e-15)
+        [learned] = subband_covariance([rows], FilterbankLayout([0, 1, 2], 16000, 4))
+        assert np.allclose(learned, 0.0, atol=1e-15)
 
     def test_hand_computed(self):
-        cov, mean = subband_covariance(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), (0, 1))
+        cov, mean = two_pass_covariance(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), (0, 1))
         assert np.array_equal(mean, [3.0, 4.0])
         assert np.allclose(cov, [[4.0, 4.0], [4.0, 4.0]], atol=1e-12)
+        rows = np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0], [5.0, 6.0, 7.0]])
+        [learned] = subband_covariance([rows], FilterbankLayout([0, 1, 2], 16000, 4))
+        assert np.allclose(learned, np.full((3, 3), 4.0), atol=1e-12)
 
     def test_identity_taper(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(20, 6))
-        plain, _ = subband_covariance(data, (1, 4))
-        tapered, _ = subband_covariance(data, (1, 4), np.ones(4))
+        plain, _ = two_pass_covariance(data, (1, 4))
+        tapered, _ = two_pass_covariance(data, (1, 4), np.ones(4))
         assert np.array_equal(plain, tapered)
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="need >=2 frames"):
-            subband_covariance(np.ones((1, 4)), (0, 3))
+            two_pass_covariance(np.ones((1, 4)), (0, 3))
+        with pytest.raises(ValueError, match="need >=2 frames"):
+            subband_covariance([np.ones((1, 3)), np.ones((0, 3))], FilterbankLayout([0, 1, 2], 16000, 4))
 
 
 class TestPcaFirstBasis:
@@ -173,7 +181,7 @@ class TestLearnPcaFilterbank:
         pattern = 1.0 + rng.uniform(0.0, 1.0, size=layout.n_bins)
         levels = rng.normal(size=(300, 1))
         log_specs = levels * pattern
-        fb = learn_pca_filterbank(log_specs, layout, taper=False)
+        fb = learn_pca_filterbank([log_specs], layout, "pca")
         for j in range(1, fb.n_filters + 1):
             lo, hi = fb.layout.subband(j)
             segment = pattern[lo : hi + 1]
@@ -185,7 +193,7 @@ class TestLearnPcaFilterbank:
         rng = np.random.default_rng(7)
         layout = toy_layout()
         log_specs = rng.normal(size=(200, layout.n_bins))
-        fb = learn_pca_filterbank(log_specs, layout, taper=True, normalize=True)
+        fb = learn_pca_filterbank([log_specs], layout, "windowed-pca-normalized")
         assert np.allclose(fb.responses.max(axis=1), 1.0, atol=1e-12)
         assert fb.shape_kind == "windowed-pca-normalized"
 
@@ -196,7 +204,7 @@ class TestLearnPcaFilterbank:
         layout = toy_layout()
         levels = 3.0 * rng.normal(size=(600, 1))
         log_specs = levels + 0.3 * rng.normal(size=(600, layout.n_bins))
-        fb = learn_pca_filterbank(log_specs, layout, taper=True)
+        fb = learn_pca_filterbank([log_specs], layout, "windowed-pca")
         for j in range(1, fb.n_filters + 1):
             lo, hi = fb.layout.subband(j)
             taper = hamming_window(hi - lo + 1)
@@ -208,14 +216,14 @@ class TestLearnPcaFilterbank:
         rng = np.random.default_rng(9)
         layout = toy_layout()
         log_specs = rng.normal(size=(150, layout.n_bins))
-        fb = learn_pca_filterbank(log_specs, layout, taper=True)
+        fb = learn_pca_filterbank([log_specs], layout, "windowed-pca")
         norms = np.linalg.norm(fb.responses, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-9
 
     def test_zero_outside_support(self):
         rng = np.random.default_rng(10)
         layout = toy_layout()
-        fb = learn_pca_filterbank(rng.normal(size=(100, layout.n_bins)), layout)
+        fb = learn_pca_filterbank([rng.normal(size=(100, layout.n_bins))], layout, "pca")
         for j in range(1, fb.n_filters + 1):
             lo, hi = fb.layout.subband(j)
             outside = np.concatenate([fb.responses[j - 1, :lo], fb.responses[j - 1, hi + 1 :]])
@@ -225,7 +233,7 @@ class TestLearnPcaFilterbank:
         layout = toy_layout()
         log_specs = np.tile(np.linspace(0.0, 1.0, layout.n_bins), (20, 1))
         with caplog.at_level(logging.WARNING, logger="warpfilt.filterbank"):
-            fb = learn_pca_filterbank(log_specs, layout)
+            fb = learn_pca_filterbank([log_specs], layout, "pca")
         tri = triangular_responses(layout)
         assert np.array_equal(fb.responses, tri.responses)
         assert any("degenerate subband" in r.message for r in caplog.records)
@@ -237,19 +245,14 @@ class TestLearnPcaFilterbank:
         log_specs = rng.normal(size=(200, layout.n_bins))
         banks = [
             triangular_responses(layout),
-            learn_pca_filterbank(log_specs, layout, taper=False),
-            learn_pca_filterbank(log_specs, layout, taper=True),
-            learn_pca_filterbank(log_specs, layout, taper=True, normalize=True),
+            learn_pca_filterbank([log_specs], layout, "pca"),
+            learn_pca_filterbank([log_specs], layout, "windowed-pca"),
+            learn_pca_filterbank([log_specs], layout, "windowed-pca-normalized"),
         ]
         kinds = {fb.shape_kind for fb in banks}
         assert kinds == {"triangular", "pca", "windowed-pca", "windowed-pca-normalized"}
         for fb in banks[1:]:
             assert np.array_equal(fb.layout.boundary_bins, banks[0].layout.boundary_bins)
-
-    def test_normalize_requires_taper(self):
-        layout = toy_layout()
-        with pytest.raises(ValueError):
-            learn_pca_filterbank(np.zeros((5, layout.n_bins)), layout, taper=False, normalize=True)
 
 
 def mel_layout():
@@ -261,59 +264,54 @@ class TestSubbandStatistics:
     def test_one_block_equals_subband_covariance(self, taper):
         layout = mel_layout()
         log_specs = np.random.default_rng(20).normal(size=(300, layout.n_bins))
-        stats = SubbandStatistics(layout, taper)
-        stats.add(log_specs[:120])
-        stats.add(log_specs[120:])
-        for j in range(1, layout.n_filters + 1):
+        covariances = subband_covariance([log_specs[:120], log_specs[120:]], layout, taper)
+        for j, covariance in enumerate(covariances, start=1):
             lo, hi = layout.subband(j)
             window = hamming_window(hi - lo + 1) if taper else None
-            expected, _ = subband_covariance(log_specs, (lo, hi), window)
-            assert np.array_equal(stats.covariance(j), expected)
+            expected, _ = two_pass_covariance(log_specs, (lo, hi), window)
+            assert np.array_equal(covariance, expected)
 
     @pytest.mark.parametrize("taper", [False, True])
-    def test_blocks_match_two_pass(self, taper):
+    def test_blocks_match_two_pass(self, monkeypatch, taper):
         # Far-off-zero means and uneven blocks: the pairwise merge must not lose digits.
         layout = mel_layout()
         log_specs = 50.0 + np.random.default_rng(21).normal(size=(1000, layout.n_bins))
-        stats = SubbandStatistics(layout, taper, block_frames=7)
-        stats.add(log_specs)
-        for j in range(1, layout.n_filters + 1):
+        monkeypatch.setattr(filterbank, "_BLOCK_FRAMES", 7)
+        covariances = subband_covariance([log_specs], layout, taper)
+        for j, covariance in enumerate(covariances, start=1):
             lo, hi = layout.subband(j)
             window = hamming_window(hi - lo + 1) if taper else None
-            expected, _ = subband_covariance(log_specs, (lo, hi), window)
-            np.testing.assert_allclose(stats.covariance(j), expected, rtol=1e-12, atol=1e-13)
+            expected, _ = two_pass_covariance(log_specs, (lo, hi), window)
+            np.testing.assert_allclose(covariance, expected, rtol=1e-12, atol=1e-13)
 
-    def test_independent_of_batch_split(self):
+    def test_independent_of_batch_split(self, monkeypatch):
         layout = mel_layout()
         log_specs = np.random.default_rng(22).normal(size=(500, layout.n_bins))
-        whole = SubbandStatistics(layout, True, block_frames=64)
-        whole.add(log_specs)
-        pieces = SubbandStatistics(layout, True, block_frames=64)
-        for piece in np.split(log_specs, [1, 3, 70, 200, 201, 455]):
-            pieces.add(piece)
-        assert whole.n_frames == pieces.n_frames == 500
-        for j in range(1, layout.n_filters + 1):
-            assert np.array_equal(whole.covariance(j), pieces.covariance(j))
+        monkeypatch.setattr(filterbank, "_BLOCK_FRAMES", 64)
+        whole = subband_covariance([log_specs], layout, True)
+        pieces = subband_covariance(np.split(log_specs, [1, 3, 70, 200, 201, 455]), layout, True)
+        assert len(whole) == len(pieces) == layout.n_filters
+        for a, b in zip(whole, pieces):
+            assert np.array_equal(a, b)
 
-    def test_filterbank_from_blocks_matches_whole_array(self):
+    def test_filterbank_from_blocks_matches_whole_array(self, monkeypatch):
         layout = mel_layout()
         log_specs = np.random.default_rng(23).normal(size=(800, layout.n_bins)) * np.linspace(1.0, 2.0, layout.n_bins)
-        stats = SubbandStatistics(layout, True, block_frames=100)
-        stats.add(log_specs)
-        blocked = pca_filterbank(stats, normalize=True)
-        whole = learn_pca_filterbank(log_specs, layout, taper=True, normalize=True)
+        whole = learn_pca_filterbank([log_specs], layout, "windowed-pca-normalized")
+        monkeypatch.setattr(filterbank, "_BLOCK_FRAMES", 100)
+        blocked = learn_pca_filterbank([log_specs], layout, "windowed-pca-normalized")
         assert blocked.shape_kind == whole.shape_kind == "windowed-pca-normalized"
         np.testing.assert_allclose(blocked.responses, whole.responses, atol=1e-9)
 
-    def test_memory_holds_one_block(self):
+    def test_memory_holds_one_block(self, monkeypatch):
         layout = mel_layout()
         rng = np.random.default_rng(24)
-        stats = SubbandStatistics(layout, True, block_frames=1024)
+        monkeypatch.setattr(filterbank, "_BLOCK_FRAMES", 1024)
+        # 24000 frames: 49 MB of log spectra if stacked
+        batches = (rng.normal(size=(400, layout.n_bins)) for _ in range(60))
         tracemalloc.start()
         try:
-            for _ in range(60):  # 24000 frames: 49 MB of log spectra if stacked
-                stats.add(rng.normal(size=(400, layout.n_bins)))
-            pca_filterbank(stats)
+            learn_pca_filterbank(batches, layout, "windowed-pca")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -321,14 +319,10 @@ class TestSubbandStatistics:
 
     def test_validation(self):
         layout = toy_layout()
-        stats = SubbandStatistics(layout)
         with pytest.raises(ValueError, match="bin count"):
-            stats.add(np.zeros((3, layout.n_bins + 1)))
-        stats.add(np.zeros((1, layout.n_bins)))
+            subband_covariance([np.zeros((3, layout.n_bins + 1))], layout)
         with pytest.raises(ValueError, match="need >=2 frames"):
-            pca_filterbank(stats)
-        stats.add(np.ones((1, layout.n_bins)))
-        with pytest.raises(ValueError, match="windowed variant"):
-            pca_filterbank(stats, normalize=True)
-        with pytest.raises(ValueError, match="blocks need"):
-            SubbandStatistics(layout, block_frames=1)
+            learn_pca_filterbank([np.zeros((1, layout.n_bins))], layout, "pca")
+        for kind in ("triangular", "mel"):
+            with pytest.raises(ValueError, match="not a PCA shape kind"):
+                learn_pca_filterbank([np.zeros((2, layout.n_bins))], layout, kind)
