@@ -27,7 +27,6 @@ from .backend import (
 )
 from .dsp import (
     AudioSegment,
-    FrameGrid,
     PowerSpectrogram,
     dct_ii_ortho,
     frame_signal,

@@ -166,7 +166,8 @@ def map_adapt_means(ubm: GmmModel, features: np.ndarray, relevance: float = 14.0
         raise ValueError("need at least one adaptation frame")
     nk, s_x, _, _ = _accumulate(x, partial(_responsibilities, ubm))
     alpha = np.divide(nk, nk + relevance, out=np.zeros_like(nk), where=nk > 0.0)[:, None]
-    means = alpha * (s_x / np.maximum(nk, 1e-12)[:, None]) + (1.0 - alpha) * ubm.means
+    data_means = np.divide(s_x, nk[:, None], out=np.zeros_like(s_x), where=nk[:, None] > 0.0)
+    means = alpha * data_means + (1.0 - alpha) * ubm.means
     return GmmModel(ubm.weights.copy(), means, ubm.variances.copy())
 
 

@@ -212,6 +212,22 @@ def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig) -> int:
     return first_doc.n_fft
 
 
+_DECODERS = {
+    "warping-scale": store.scale_from_document,
+    "filterbank": store.filterbank_from_document,
+    "gmm": store.gmm_from_document,
+}
+
+
+def _load_document(path, kind: str):
+    """The model document of `kind` at path and the object it holds; a ValueError from decoding names the file."""
+    doc = store.load_model(path, expect_kind=kind)
+    try:
+        return doc, _DECODERS[kind](doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
 def _subsample(entries, fraction: float, seed: int):
     if fraction >= 1.0:
         return entries
@@ -269,8 +285,7 @@ def cmd_learn_filterbank(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     _refuse_existing(out, args.overwrite)
-    scale_doc = store.load_model(args.scale_doc, expect_kind="warping-scale")
-    warping = store.scale_from_document(scale_doc)
+    scale_doc, warping = _load_document(args.scale_doc, "warping-scale")
     n_fft = scale_doc.n_fft
     layout = filterbank.place_filter_edges(warping, cfg.n_filters, n_fft, scale_doc.sample_rate_hz)
     shape_kind = SHAPE_FLAGS[cfg.shape]
@@ -305,9 +320,8 @@ def cmd_extract(args) -> int:
     manifest = store.load_manifest(args.manifest)
     if not manifest.entries:
         raise ValueError("no utterances")
-    fb_doc = store.load_model(args.filterbank, expect_kind="filterbank")
+    fb_doc, fb = _load_document(args.filterbank, "filterbank")
     _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg)
-    fb = store.filterbank_from_document(fb_doc)
     if cfg.n_ceps > fb.n_filters - 1:
         raise ValueError(f"{args.filterbank}: n_ceps {cfg.n_ceps} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir = Path(args.out)
@@ -344,9 +358,9 @@ def cmd_fratio(args) -> int:
     speakers = manifest.speakers()
     if len(speakers) < 2:
         raise ValueError("manifest needs speaker_ids for at least two speakers")
-    docs = [(path, store.load_model(path, expect_kind="filterbank")) for path in args.filterbanks]
-    n_fft = _check_documents(docs, manifest.sample_rate_hz, cfg)
-    fbs = [store.filterbank_from_document(doc) for _, doc in docs]
+    loaded = [(path, *_load_document(path, "filterbank")) for path in args.filterbanks]
+    n_fft = _check_documents([(path, doc) for path, doc, _ in loaded], manifest.sample_rate_hz, cfg)
+    fbs = [fb for _, _, fb in loaded]
 
     # One front-end pass per utterance, shared by every filterbank.
     def speech_log_energies(seg):
@@ -369,15 +383,6 @@ def cmd_fratio(args) -> int:
     if args.out is not None:
         Path(args.out).write_text(report.to_tsv(), encoding="utf-8")
     return EXIT_OK
-
-
-def _load_gmm(path) -> backend.GmmModel:
-    """The GMM in the model document at path; a ValueError from its parameters names the file."""
-    doc = store.load_model(path, expect_kind="gmm")
-    try:
-        return store.gmm_from_document(doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
 
 
 def _read_feature_dir(features_dir: Path) -> dict:
@@ -409,7 +414,7 @@ def cmd_enroll(args) -> int:
     speakers = manifest.speakers()
     if not speakers:
         raise ValueError("manifest has no speaker_ids")
-    ubm = _load_gmm(args.ubm)
+    _, ubm = _load_document(args.ubm, "gmm")
     feature_files = _read_feature_dir(Path(args.features))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -439,7 +444,7 @@ def cmd_score(args) -> int:
     trials = store.read_trials(args.trials)
     if not trials.trials:
         raise ValueError("no trials")
-    ubm = _load_gmm(args.ubm)
+    _, ubm = _load_document(args.ubm, "gmm")
     models_dir = Path(args.models)
     feature_files = _read_feature_dir(Path(args.features))
     enroll_models = {}
@@ -449,7 +454,7 @@ def cmd_score(args) -> int:
             path = models_dir / f"{t.enroll_id}.json"
             if not path.exists():
                 raise ValueError(f"no enrolled model for {t.enroll_id}")
-            enroll_models[t.enroll_id] = _load_gmm(path)
+            _, enroll_models[t.enroll_id] = _load_document(path, "gmm")
         if t.test_id not in feature_files:
             raise ValueError(f"no features for test segment {t.test_id}")
         by_test.setdefault(t.test_id, []).append(i)

@@ -25,15 +25,6 @@ class AudioSegment:
 
 
 @dataclass
-class FrameGrid:
-    """Framing geometry in samples."""
-
-    frame_len: int
-    hop: int
-    n_frames: int
-
-
-@dataclass
 class PowerSpectrogram:
     """Per-frame short-time power spectra, bins 0..n_fft/2."""
 
@@ -75,10 +66,10 @@ def ms_to_samples(ms: float, sample_rate_hz: int) -> int:
     return int(round(sample_rate_hz * ms / 1000.0))
 
 
-def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> tuple[FrameGrid, np.ndarray]:
+def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> np.ndarray:
     """Slice a signal into overlapping frames; trailing partial frames are dropped.
 
-    The frames are a read-only strided view of the samples, not a copy.
+    Returns an n_frames x frame_len read-only strided view of the samples, not a copy.
     """
     if not 0.0 < hop_ms <= frame_ms:
         raise ValueError("require frame_ms >= hop_ms > 0")
@@ -88,8 +79,7 @@ def frame_signal(x: AudioSegment, frame_ms: float, hop_ms: float) -> tuple[Frame
         raise ValueError("frame and hop must span at least one sample")
     if len(x) < frame_len:
         raise ValueError("too short")
-    frames = np.lib.stride_tricks.sliding_window_view(x.samples, frame_len)[::hop]
-    return FrameGrid(frame_len, hop, frames.shape[0]), frames
+    return np.lib.stride_tricks.sliding_window_view(x.samples, frame_len)[::hop]
 
 
 def hamming_window(n: int) -> np.ndarray:

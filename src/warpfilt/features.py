@@ -160,11 +160,11 @@ def utterance_spectra(
     """The front end of one utterance: its power spectra and the mask of frames to use.
 
     Pre-emphasis, framing, a Hamming window and n_fft-point power spectra. The mask
-    is the bi-Gaussian SAD, ANDed with pitch presence when a PitchConfig is given.
+    is the bi-Gaussian SAD, ANDed with voicing when a PitchConfig is given.
     """
     emphasized = pre_emphasize(x, cfg.preemph)
-    grid, frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
-    spec = power_spectrum(frames, n_fft, hamming_window(grid.frame_len), x.sample_rate_hz)
+    frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
+    spec = power_spectrum(frames, n_fft, hamming_window(frames.shape[1]), x.sample_rate_hz)
     if pitch is None:
         return spec, bi_gaussian_sad(frame_log_energy(frames))
     return spec, voiced_mask(frames, x.sample_rate_hz, pitch)

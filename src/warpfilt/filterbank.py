@@ -61,6 +61,8 @@ class Filterbank:
         self.responses = np.asarray(self.responses, dtype=np.float64)
         if self.responses.shape != (self.layout.n_filters, self.layout.n_bins):
             raise ValueError("responses must be shaped n_filters x n_bins")
+        if not np.isfinite(self.responses).all():
+            raise ValueError("responses must be finite")
         if self.shape_kind not in SHAPE_KINDS:
             raise ValueError(f"unknown shape kind: {self.shape_kind!r}")
 

@@ -1,4 +1,4 @@
-"""Frame selection: bi-Gaussian energy SAD and autocorrelation pitch detection."""
+"""Frame selection: bi-Gaussian energy SAD and autocorrelation voicing detection."""
 
 from dataclasses import dataclass
 import numpy as np
@@ -28,14 +28,9 @@ class PitchConfig:
 
 @dataclass
 class PitchTrack:
-    """Per-frame pitch estimates; unvoiced frames carry NaN."""
+    """Per-frame voicing decisions of the pitch tracker."""
 
-    f0_hz: np.ndarray
-    voicing_score: np.ndarray
-
-    @property
-    def voiced(self) -> np.ndarray:
-        return np.isfinite(self.f0_hz)
+    voiced: np.ndarray
 
 
 def frame_log_energy(frames: np.ndarray) -> np.ndarray:
@@ -164,57 +159,28 @@ def normalized_autocorrelation(frames: np.ndarray, lag_min: int, lag_max: int) -
     return r
 
 
-def _peak_lags(r: np.ndarray, lag_min: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: global peak value and the parabolically interpolated lag of the chosen peak.
-
-    Among local maxima (end lags included) within 2% of the row's global peak
-    the shortest lag wins, suppressing subharmonic (pitch-halving) errors on
-    near-periodic frames; a row without one falls back to its argmax.
-    """
-    n_lags = r.shape[1]
-    peak = r.max(axis=1)
-    local_max = np.zeros(r.shape, dtype=bool)
-    if n_lags >= 2:
-        local_max[:, 1:-1] = (r[:, 1:-1] >= r[:, :-2]) & (r[:, 1:-1] >= r[:, 2:])
-        local_max[:, 0] = r[:, 0] >= r[:, 1]
-        local_max[:, -1] = r[:, -1] >= r[:, -2]
-    strong = local_max & (r >= (0.98 * peak)[:, None])
-    idx = np.where(strong.any(axis=1), strong.argmax(axis=1), r.argmax(axis=1))
-    lag = (lag_min + idx).astype(np.float64)
-    rows = np.flatnonzero((idx > 0) & (idx < n_lags - 1))
-    i = idx[rows]
-    left, mid, right = r[rows, i - 1], r[rows, i], r[rows, i + 1]
-    denom = left - 2.0 * mid + right
-    curved = np.abs(denom) > 1e-12
-    delta = 0.5 * (left[curved] - right[curved]) / denom[curved]
-    lag[rows[curved]] += np.clip(delta, -0.5, 0.5)
-    return peak, lag
-
-
 def track_pitch(
     frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None
 ) -> PitchTrack:
-    """Autocorrelation f0 per frame of a frame matrix; unvoiced and silent frames get NaN."""
+    """Voicing per frame of a frame matrix.
+
+    A frame is voiced when it is live (energy above ENERGY_EPS) and its largest
+    normalized autocorrelation over the pitch-band lags is at least the
+    voicing threshold.
+    """
     cfg = cfg or PitchConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n_frames, n = frames.shape
-    f0 = np.full(n_frames, np.nan)
-    score = np.zeros(n_frames)
+    voiced = np.zeros(n_frames, dtype=bool)
     lag_min = max(1, int(np.ceil(sample_rate_hz / cfg.f_max_hz)))
     lag_max = min(int(np.floor(sample_rate_hz / cfg.f_min_hz)), n - 1, n - MIN_OVERLAP)
-    if lag_min > lag_max:
-        return PitchTrack(f0, score)
     live = np.flatnonzero(np.sum(frames * frames, axis=1) > ENERGY_EPS)
-    if live.size == 0:
-        return PitchTrack(f0, score)
-    r = normalized_autocorrelation(frames[live], lag_min, lag_max)
-    peak, lag = _peak_lags(r, lag_min)
-    score[live] = np.clip(peak, 0.0, 1.0)
-    voiced = peak >= cfg.voicing_threshold
-    f0[live[voiced]] = np.clip(sample_rate_hz / lag[voiced], cfg.f_min_hz, cfg.f_max_hz)
-    return PitchTrack(f0, score)
+    if lag_min <= lag_max and live.size > 0:
+        r = normalized_autocorrelation(frames[live], lag_min, lag_max)
+        voiced[live] = r.max(axis=1) >= cfg.voicing_threshold
+    return PitchTrack(voiced)
 
 
 def voiced_mask(frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None) -> np.ndarray:
-    """SAD mask AND pitch presence, per frame."""
+    """SAD mask AND the voicing decision of track_pitch, per frame."""
     return bi_gaussian_sad(frame_log_energy(frames)) & track_pitch(frames, sample_rate_hz, cfg).voiced

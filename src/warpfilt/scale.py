@@ -48,6 +48,9 @@ class WarpingScale:
             raise ValueError(f"unknown scale kind: {self.kind!r}")
         if self.knots_hz.shape != self.knots_warped.shape or self.knots_hz.ndim != 1:
             raise ValueError("knot arrays must be one-dimensional and equal-length")
+        for name in ("knots_hz", "knots_warped"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.knots_hz) <= 0.0) or np.any(np.diff(self.knots_warped) <= 0.0):
             raise ValueError("degenerate scale")
         if self.knots_hz[0] != 0.0 or self.knots_warped[0] != 0.0 or self.knots_warped[-1] != 1.0:

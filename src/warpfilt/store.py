@@ -343,17 +343,32 @@ class CorpusManifest:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    """Read a JSON corpus manifest; ids must be unique and paths must exist."""
+    """Read a JSON corpus manifest; ids must be unique and paths must name files.
+
+    A field of the wrong type or value raises a ValueError naming the manifest,
+    the entry and the field.
+    """
     path = Path(path)
     obj = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(obj, dict) or "entries" not in obj or "sample_rate_hz" not in obj:
         raise ValueError(f"{path}: manifest needs 'sample_rate_hz' and 'entries'")
+    rate = obj["sample_rate_hz"]
+    if type(rate) is not int or rate <= 0:
+        raise ValueError(f"{path}: field 'sample_rate_hz' must be a positive integer")
+    if not isinstance(obj["entries"], list):
+        raise ValueError(f"{path}: field 'entries' must be a list")
     entries = []
     seen = set()
     for i, item in enumerate(obj["entries"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path}: entry {i} must be an object")
         for key in ("utterance_id", "path"):
-            if not isinstance(item, dict) or key not in item:
+            if key not in item:
                 raise ValueError(f"{path}: entry {i} lacks {key!r}")
+        for key in ("utterance_id", "path", "speaker_id"):
+            value = item.get(key)
+            if (value is not None or key != "speaker_id") and not (isinstance(value, str) and value):
+                raise ValueError(f"{path}: entry {i} field {key!r} must be a non-empty string")
         utt = item["utterance_id"]
         if utt in seen:
             raise ValueError(f"{path}: duplicate utterance id {utt!r}")
@@ -361,10 +376,14 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         wav = Path(item["path"])
         if not wav.is_absolute():
             wav = path.parent / wav
-        if not wav.exists():
+        try:
+            is_file = wav.is_file()
+        except OSError:  # a name the file system cannot hold, too long for example
+            is_file = False
+        if not is_file:
             raise ValueError(f"{path}: missing audio file {wav}")
         entries.append(ManifestEntry(utt, wav, item.get("speaker_id")))
-    return CorpusManifest(entries, int(obj["sample_rate_hz"]))
+    return CorpusManifest(entries, rate)
 
 
 def save_manifest(manifest: CorpusManifest, path: str | Path):

@@ -111,6 +111,17 @@ class TestMapAdaptMeans:
         assert np.array_equal(adapted.means[0], ubm.means[0])
         assert np.allclose(adapted.means[1], data.mean(axis=0), atol=1e-9)
 
+    def test_zero_relevance_gives_weighted_mean_of_tiny_weight(self):
+        # Component 0 weighs the frames by 2.7e-19 in all; its mean is still its weighted data mean.
+        ubm = GmmModel(np.array([0.5, 0.5]), np.array([[-4.0, -4.0], [5.0, 5.0]]), np.ones((2, 2)))
+        data = np.random.default_rng(0).normal(5.0, 1.0, size=(200, 2))
+        gamma, _ = full_responsibilities(ubm, data)
+        assert 0.0 < gamma[:, 0].sum() < 1e-12
+        weighted_mean = gamma[:, 0] @ data / gamma[:, 0].sum()
+        adapted = map_adapt_means(ubm, data, relevance=0.0)
+        np.testing.assert_allclose(adapted.means[0], weighted_mean, rtol=1e-9)
+        assert adapted.means[0] == pytest.approx([1.90, 3.85], abs=0.01)
+
     def test_midpoint_at_matching_relevance(self):
         rng = np.random.default_rng(6)
         ubm = GmmModel(np.array([1.0]), np.array([[1.0, -1.0]]), np.array([[1.0, 1.0]]))
@@ -446,8 +457,7 @@ def full_em_step(model, x):
 def full_map_means(ubm, x, relevance):
     gamma, _ = full_responsibilities(ubm, x)
     nk = gamma.sum(axis=0)
-    ex = gamma.T @ x / np.maximum(nk, 1e-12)[:, None]
-    ex = np.where(nk[:, None] > 0.0, ex, ubm.means)
+    ex = np.divide(gamma.T @ x, nk[:, None], out=ubm.means.copy(), where=nk[:, None] > 0.0)
     alpha = nk / (nk + relevance)
     return alpha[:, None] * ex + (1.0 - alpha)[:, None] * ubm.means
 

@@ -549,6 +549,33 @@ class TestExitCodes:
         assert rc == 2
         assert err.splitlines() == [f"error: {manifest}: entry 0 lacks 'path'"]
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"entries": 5}, "field 'entries' must be a list"),
+            ({"sample_rate_hz": None}, "field 'sample_rate_hz' must be a positive integer"),
+            ({"path": 3}, "entry 0 field 'path' must be a non-empty string"),
+            ({"utterance_id": ["u"]}, "entry 0 field 'utterance_id' must be a non-empty string"),
+        ],
+        ids=["entries", "sample_rate_hz", "path", "utterance_id"],
+    )
+    def test_malformed_manifest_one_error_line(self, capsys, small_corpus, tmp_path, change, message):
+        obj = json.loads(Path(small_corpus["manifest"]).read_text())
+        for key, value in change.items():
+            if key in obj:
+                obj[key] = value
+            else:
+                obj["entries"][0][key] = value
+        manifest = Path(small_corpus["manifest"]).parent / "malformed.json"  # relative paths still resolve
+        manifest.write_text(json.dumps(obj))
+        try:
+            rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
+        finally:
+            manifest.unlink()
+        assert rc == 2
+        assert err.splitlines() == [f"error: {manifest}: {message}"]
+        assert out == ""
+
     def test_score_names_segment_without_speech(self, small_corpus, pipeline, tmp_path):
         feats = tmp_path / "feats"
         shutil.copytree(pipeline / "feats", feats)
@@ -615,6 +642,35 @@ class TestExitCodes:
         rc, _, err = run(capsys, command, "--ubm", ubm, "--features", pipeline / "feats", *rest)
         assert rc == 2
         assert err.splitlines() == [f"error: {ubm}: means must be finite"]
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            (["learn-filterbank", "--scale-doc", "DOC", "--shape", "tri", "--out", "OUT"], "knots_hz"),
+            (["learn-filterbank", "--manifest", "MANIFEST", "--scale-doc", "DOC", "--shape", "pca", "--out", "OUT"], "knots_hz"),
+            (["extract", "--manifest", "MANIFEST", "--filterbank", "DOC", "--out", "OUT"], "responses"),
+            (["fratio", "--manifest", "MANIFEST", "--filterbanks", "DOC", "--out", "OUT"], "responses"),
+        ],
+        ids=["learn-filterbank-tri", "learn-filterbank-pca", "extract", "fratio"],
+    )
+    def test_non_finite_document_named_before_corpus_pass(
+        self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command, field
+    ):
+        if field == "knots_hz":
+            doc = load_model(pipeline / "scale.json")
+            doc.payload["knots_hz"][2] = float("nan")
+        else:
+            doc = load_model(pipeline / "fb.json")
+            doc.payload["responses"][3][40] = float("nan")
+        bad = tmp_path / "doc.json"
+        store.save_model(doc, bad)  # a fresh checksum, as a hand edit would get
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        names = {"DOC": bad, "MANIFEST": small_corpus["manifest"], "OUT": tmp_path / "out"}
+        rc, out, err = run(capsys, *[names.get(a, a) for a in command])
+        assert rc == 2
+        assert err.splitlines() == [f"error: {bad}: {field} must be finite"]
+        assert out == "" and loaded == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestStartup:

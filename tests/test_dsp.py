@@ -37,17 +37,17 @@ class TestPreEmphasize:
 
 class TestFrameSignal:
     def test_16k_framing_arithmetic(self):
-        grid, frames = frame_signal(seg(np.arange(960.0)), 20.0, 10.0)
-        assert (grid.frame_len, grid.hop, grid.n_frames) == (320, 160, 5)
+        frames = frame_signal(seg(np.arange(960.0)), 20.0, 10.0)
         assert frames.shape == (5, 320)
+        assert np.array_equal(frames[1], np.arange(160.0, 480.0))  # hop 160
 
     def test_8k_framing_arithmetic(self):
-        grid, _ = frame_signal(seg(np.arange(400.0), sr=8000), 20.0, 10.0)
-        assert (grid.frame_len, grid.hop, grid.n_frames) == (160, 80, 4)
+        frames = frame_signal(seg(np.arange(400.0), sr=8000), 20.0, 10.0)
+        assert frames.shape == (4, 160)
+        assert np.array_equal(frames[1], np.arange(80.0, 240.0))  # hop 80
 
     def test_exactly_one_frame(self):
-        grid, _ = frame_signal(seg(np.zeros(320)), 20.0, 10.0)
-        assert grid.n_frames == 1
+        assert frame_signal(seg(np.zeros(320)), 20.0, 10.0).shape == (1, 320)
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="too short"):
@@ -55,17 +55,19 @@ class TestFrameSignal:
 
     def test_rows_are_exact_slices(self):
         x = np.random.default_rng(1).normal(size=1000)
-        grid, frames = frame_signal(seg(x), 20.0, 10.0)
-        for i in range(grid.n_frames):
-            assert np.array_equal(frames[i], x[i * grid.hop : i * grid.hop + grid.frame_len])
+        frames = frame_signal(seg(x), 20.0, 10.0)
+        assert frames.shape == (5, 320)
+        for i in range(frames.shape[0]):
+            assert np.array_equal(frames[i], x[i * 160 : i * 160 + 320])
 
     @pytest.mark.parametrize("n", [320, 479, 480, 1000, 16001])
     def test_read_only_view_equals_gathered_copy(self, n):
         s = seg(np.random.default_rng(n).normal(size=n))
-        grid, frames = frame_signal(s, 20.0, 10.0)
-        idx = np.arange(grid.n_frames)[:, None] * grid.hop + np.arange(grid.frame_len)[None, :]
+        frames = frame_signal(s, 20.0, 10.0)
+        n_frames = (n - 320) // 160 + 1
+        idx = np.arange(n_frames)[:, None] * 160 + np.arange(320)[None, :]
         gathered = s.samples[idx]
-        assert frames.shape == gathered.shape == (grid.n_frames, grid.frame_len)
+        assert frames.shape == gathered.shape == (n_frames, 320)
         assert frames.tobytes() == gathered.tobytes()
         assert np.shares_memory(frames, s.samples)
         assert not frames.flags.writeable

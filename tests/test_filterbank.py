@@ -7,6 +7,7 @@ import pytest
 from warpfilt import filterbank
 from warpfilt.dsp import hamming_window
 from warpfilt.filterbank import (
+    Filterbank,
     FilterbankLayout,
     learn_pca_filterbank,
     pca_first_basis,
@@ -86,6 +87,13 @@ class TestTriangularResponses:
         layout = place_filter_edges(mel_warping_scale(8000.0), 20, 512, 16000)
         fb = triangular_responses(layout)
         assert np.array_equal(fb.responses.max(axis=1), np.ones(20))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_response_named(self, value):
+        fb = triangular_responses(FilterbankLayout(np.array([0, 3, 7, 12]), 16000, 24))
+        fb.responses[1, 5] = value
+        with pytest.raises(ValueError, match="^responses must be finite$"):
+            Filterbank(fb.layout, fb.responses, "pca")
 
     def test_zero_outside_support(self):
         layout = FilterbankLayout(np.array([0, 3, 7, 12]), 16000, 24)
@@ -219,6 +227,13 @@ class TestLearnPcaFilterbank:
         fb = learn_pca_filterbank([log_specs], layout, "windowed-pca")
         norms = np.linalg.norm(fb.responses, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-9
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_response_named(self, value):
+        fb = triangular_responses(FilterbankLayout(np.array([0, 3, 7, 12]), 16000, 24))
+        fb.responses[1, 5] = value
+        with pytest.raises(ValueError, match="^responses must be finite$"):
+            Filterbank(fb.layout, fb.responses, "pca")
 
     def test_zero_outside_support(self):
         rng = np.random.default_rng(10)

@@ -296,6 +296,14 @@ class TestScaleKindValidation:
         with pytest.raises(ValueError, match="degenerate scale"):
             WarpingScale(np.array([0.0, 2.0, 1.0]), np.array([0.0, 0.5, 1.0]), "mel")
 
+    @pytest.mark.parametrize("field", ["knots_hz", "knots_warped"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knot_named(self, field, value):
+        knots = {"knots_hz": np.array([0.0, 1000.0, 2000.0, 4000.0]), "knots_warped": np.array([0.0, 0.3, 0.6, 1.0])}
+        knots[field][2] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            WarpingScale(knots["knots_hz"], knots["knots_warped"], "speech-based")
+
 
 def test_pitch_selection_changes_scale():
     """Tone + loud-noise corpus: SAD keeps noise frames, pitch selection drops them."""

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from warpfilt import store
 from warpfilt.backend import GmmModel, Trial, TrialScoreSet, det_curve, eer
@@ -360,6 +362,76 @@ class TestManifest:
         path.write_text(json.dumps({"sample_rate_hz": 16000, "entries": [entry]}))
         with pytest.raises(ValueError, match=re.escape(f"{path}: entry 0 lacks '{field}'")):
             load_manifest(path)
+
+    def write_mutated(self, tmp_path, field, value):
+        """A one-entry manifest over an existing WAV with `field` set to `value`; "entry" is the whole entry."""
+        wav = tmp_path / "u.wav"
+        if not wav.exists():
+            write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000, "u"))
+        obj = {"sample_rate_hz": 16000, "entries": [{"utterance_id": "u", "path": "u.wav", "speaker_id": "s"}]}
+        if field in obj:
+            obj[field] = value
+        elif field == "entry":
+            obj["entries"][0] = value
+        else:
+            obj["entries"][0][field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("entries", 5, "field 'entries' must be a list"),
+            ("entries", {"u": "u.wav"}, "field 'entries' must be a list"),
+            ("sample_rate_hz", None, "field 'sample_rate_hz' must be a positive integer"),
+            ("sample_rate_hz", 16000.7, "field 'sample_rate_hz' must be a positive integer"),
+            ("sample_rate_hz", 16000.0, "field 'sample_rate_hz' must be a positive integer"),
+            ("sample_rate_hz", -1, "field 'sample_rate_hz' must be a positive integer"),
+            ("sample_rate_hz", 0, "field 'sample_rate_hz' must be a positive integer"),
+            ("sample_rate_hz", True, "field 'sample_rate_hz' must be a positive integer"),
+            ("sample_rate_hz", "16000", "field 'sample_rate_hz' must be a positive integer"),
+            ("entry", 5, "entry 0 must be an object"),
+            ("path", 7, "entry 0 field 'path' must be a non-empty string"),
+            ("path", "", "entry 0 field 'path' must be a non-empty string"),
+            ("path", ".", "missing audio file"),
+            ("utterance_id", ["u"], "entry 0 field 'utterance_id' must be a non-empty string"),
+            ("utterance_id", 3, "entry 0 field 'utterance_id' must be a non-empty string"),
+            ("speaker_id", ["s"], "entry 0 field 'speaker_id' must be a non-empty string"),
+            ("speaker_id", 2, "entry 0 field 'speaker_id' must be a non-empty string"),
+        ],
+    )
+    def test_malformed_field_named(self, tmp_path, field, value, message):
+        path = self.write_mutated(tmp_path, field, value)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_manifest(path)
+
+    def test_null_speaker_id_is_absent(self, tmp_path):
+        assert load_manifest(self.write_mutated(tmp_path, "speaker_id", None)).speakers() == {}
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        field=st.sampled_from(["sample_rate_hz", "entries", "entry", "utterance_id", "path", "speaker_id"]),
+        value=JSON_VALUES,
+    )
+    def test_any_json_value_in_any_field(self, tmp_path, field, value):
+        path = self.write_mutated(tmp_path, field, value)
+        try:
+            manifest = load_manifest(path)
+        except ValueError:
+            return
+        assert type(manifest.sample_rate_hz) is int and manifest.sample_rate_hz > 0
+        for entry in manifest.entries:
+            assert isinstance(entry.utterance_id, str) and entry.utterance_id
+            assert entry.path.is_file()
+            assert entry.speaker_id is None or (isinstance(entry.speaker_id, str) and entry.speaker_id)
+        manifest.speakers()
 
     def test_file_digest_changes(self, tmp_path):
         a = tmp_path / "a.txt"
