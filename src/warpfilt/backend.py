@@ -115,7 +115,7 @@ def _accumulate(x: np.ndarray, weigh) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return n_k, s_x, s_xx, log_lik
 
 
-def _kmeans_style_init(x: np.ndarray, n_components: int, rng: np.random.Generator) -> GmmModel:
+def _kmeans_style_init(x: np.ndarray, n_components: int, rng: "np.random.Generator") -> GmmModel:
     n = x.shape[0]
     centroids = x[rng.choice(n, size=n_components, replace=False)]
 

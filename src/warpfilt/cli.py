@@ -491,14 +491,14 @@ def cmd_evaluate(args) -> int:
     print(f"eer_percent\t{100.0 * eer_value:.4f}")
     print(f"min_dcf_x100\t{100.0 * dcf_value:.4f}")
     if args.det_out is not None:
-        from scipy.special import ndtri  # deferred: only --det-out needs it
+        from statistics import NormalDist  # deferred: it loads decimal and fractions, and only --det-out needs it
 
         # The standard normal quantile; -inf at 0 and inf at 1, as norm.ppf gives.
-        probit_miss = ndtri(curve.p_miss)
-        probit_fa = ndtri(curve.p_fa)
+        inv_cdf = NormalDist().inv_cdf
         lines = ["threshold\tp_miss\tp_fa\tprobit_miss\tprobit_fa"]
-        for row in zip(curve.thresholds, curve.p_miss, curve.p_fa, probit_miss, probit_fa):
-            lines.append("\t".join(repr(float(v)) for v in row))
+        for row in zip(curve.thresholds, curve.p_miss, curve.p_fa):
+            probits = [-math.inf if p == 0.0 else math.inf if p == 1.0 else inv_cdf(p) for p in map(float, row[1:])]
+            lines.append("\t".join(repr(float(v)) for v in (*row, *probits)))
         Path(args.det_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 

@@ -3,8 +3,6 @@
 from dataclasses import dataclass
 import numpy as np
 
-from .dsp import next_pow2
-
 ENERGY_EPS = 1e-12
 VAR_FLOOR = 1e-10
 
@@ -143,19 +141,16 @@ def normalized_autocorrelation(frames: np.ndarray, lag_min: int, lag_max: int) -
     n = frames.shape[1]
     if not 1 <= lag_min <= lag_max <= n - 1:
         raise ValueError("lag range must lie within [1, frame_len - 1]")
-    size = next_pow2(2 * n)
-    spec = np.fft.rfft(frames, size)
-    acf = np.fft.irfft(spec * np.conj(spec), size)[:, : lag_max + 1]
-    sq = frames * frames
-    # head[t] = sum_{n<N-t} x[n]^2, tail[t] = sum_{n>=t} x[n]^2
-    csum = np.cumsum(sq, axis=1)
-    total = csum[:, -1][:, None]
-    lags = np.arange(lag_min, lag_max + 1)
-    head = csum[:, n - 1 - lags]
-    tail = total - np.concatenate([np.zeros((frames.shape[0], 1)), csum], axis=1)[:, lags]
+    # 2n points hold every lag up to n - 1 without circular wrap-around.
+    spec = np.fft.rfft(frames, 2 * n)
+    acf = np.fft.irfft(spec * np.conj(spec), 2 * n)[:, lag_min : lag_max + 1]
+    # head[t] = sum_{n<N-t} x[n]^2 = csum[N-1-t], tail[t] = sum_{n>=t} x[n]^2 = total - csum[t-1]
+    csum = np.cumsum(frames * frames, axis=1)
+    head = csum[:, n - 1 - lag_max : n - lag_min][:, ::-1]
+    tail = csum[:, -1:] - csum[:, lag_min - 1 : lag_max]
     denom = np.sqrt(head * tail)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom > 0.0, acf[:, lag_min : lag_max + 1] / denom, 0.0)
+        r = np.where(denom > 0.0, acf / denom, 0.0)
     return r
 
 
@@ -182,5 +177,7 @@ def track_pitch(
 
 
 def voiced_mask(frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None) -> np.ndarray:
-    """SAD mask AND the voicing decision of track_pitch, per frame."""
-    return bi_gaussian_sad(frame_log_energy(frames)) & track_pitch(frames, sample_rate_hz, cfg).voiced
+    """SAD mask AND the voicing decision of track_pitch, which runs on the SAD-kept frames only."""
+    mask = bi_gaussian_sad(frame_log_energy(frames))
+    mask[mask] = track_pitch(np.asarray(frames)[mask], sample_rate_hz, cfg).voiced
+    return mask

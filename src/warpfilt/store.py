@@ -167,6 +167,9 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
         raise ValueError(f"{path}: unsupported schema version {obj['schema_version']}")
     if obj["kind"] not in MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {obj['kind']!r}")
+    for part in ("payload", "provenance"):
+        if not isinstance(obj[part], dict):
+            raise ValueError(f"{path}: {part} must be an object")
     provenance = dict(obj["provenance"])
     stored = provenance.pop("payload_sha256", None)
     if stored != _payload_digest(obj["payload"]):
@@ -183,6 +186,39 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
     )
 
 
+def _header_int(doc: ModelDocument, name: str, minimum: int) -> int:
+    value = getattr(doc, name)
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _payload_array(payload: dict, name: str, ndim: int, integer: bool = False) -> np.ndarray:
+    """payload[name] as an array: ndim levels of nested JSON lists of numbers, or of integers.
+
+    A missing field, a level that is no list, an element of another type (a bool
+    among them), ragged rows or no elements at all raise a ValueError naming the field.
+    """
+    value = payload.get(name)
+    element = (int,) if integer else (int, float)
+
+    def conforms(v, depth):
+        if depth == 0:
+            return type(v) in element
+        return isinstance(v, list) and all(conforms(item, depth - 1) for item in v)
+
+    what = "integers" if integer else "numbers"
+    if not conforms(value, ndim):
+        raise ValueError(f"{name} must be a list of {'lists of ' * (ndim - 1)}{what}")
+    try:
+        array = np.asarray(value, dtype=np.int64 if integer else np.float64)
+    except (ValueError, OverflowError):
+        raise ValueError(f"{name} must be a rectangular array of {what} within range") from None
+    if array.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    return array
+
+
 def scale_document(
     scale: WarpingScale, sample_rate_hz: int, n_fft: int, provenance: dict | None = None
 ) -> ModelDocument:
@@ -196,8 +232,10 @@ def scale_document(
 
 def scale_from_document(doc: ModelDocument) -> WarpingScale:
     p = doc.payload
+    _header_int(doc, "sample_rate_hz", 1)
+    _header_int(doc, "n_fft", 1)
     # WarpingScale validates monotonicity, catching hand-edited documents.
-    return WarpingScale(np.asarray(p["knots_hz"]), np.asarray(p["knots_warped"]), p["scale_kind"])
+    return WarpingScale(_payload_array(p, "knots_hz", 1), _payload_array(p, "knots_warped", 1), p.get("scale_kind"))
 
 
 def filterbank_document(fb: Filterbank, provenance: dict | None = None) -> ModelDocument:
@@ -213,8 +251,9 @@ def filterbank_document(fb: Filterbank, provenance: dict | None = None) -> Model
 
 def filterbank_from_document(doc: ModelDocument) -> Filterbank:
     p = doc.payload
-    layout = FilterbankLayout(np.asarray(p["boundary_bins"]), doc.sample_rate_hz, doc.n_fft)
-    return Filterbank(layout, np.asarray(p["responses"]), p["shape_kind"])
+    rate, n_fft = _header_int(doc, "sample_rate_hz", 1), _header_int(doc, "n_fft", 1)
+    layout = FilterbankLayout(_payload_array(p, "boundary_bins", 1, integer=True), rate, n_fft)
+    return Filterbank(layout, _payload_array(p, "responses", 2), p.get("shape_kind"))
 
 
 def gmm_document(
@@ -230,7 +269,9 @@ def gmm_document(
 
 def gmm_from_document(doc: ModelDocument) -> GmmModel:
     p = doc.payload
-    return GmmModel(np.asarray(p["weights"]), np.asarray(p["means"]), np.asarray(p["variances"]))
+    _header_int(doc, "sample_rate_hz", 0)
+    _header_int(doc, "n_fft", 0)
+    return GmmModel(_payload_array(p, "weights", 1), _payload_array(p, "means", 2), _payload_array(p, "variances", 2))
 
 
 # --- Feature files -----------------------------------------------------------
@@ -268,8 +309,13 @@ def read_features(path: str | Path):
 
 # --- Trials and scores -------------------------------------------------------
 
+def _is_file_name(name: str) -> bool:
+    """Whether an id can name a file of its own: one path component, not empty, '.' or '..'."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def read_trials(path: str | Path) -> TrialScoreSet:
-    """Parse 'enroll<TAB>test<TAB>target|impostor' lines."""
+    """Parse 'enroll<TAB>test<TAB>target|impostor' lines; each id must be able to name a file."""
     trials = []
     seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -278,6 +324,9 @@ def read_trials(path: str | Path) -> TrialScoreSet:
         parts = line.split("\t")
         if len(parts) != 3 or parts[2] not in ("target", "impostor"):
             raise ValueError(f"{path}:{lineno}: malformed trial line")
+        for field, value in zip(("enroll_id", "test_id"), parts):
+            if not _is_file_name(value):
+                raise ValueError(f"{path}:{lineno}: field {field!r} must be one path component, got {value!r}")
         key = (parts[0], parts[1])
         if key in seen:
             raise ValueError(f"{path}:{lineno}: duplicate trial {key}")
@@ -343,7 +392,7 @@ class CorpusManifest:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    """Read a JSON corpus manifest; ids must be unique and paths must name files.
+    """Read a JSON corpus manifest; ids must be unique and able to name files, and paths must name files.
 
     A field of the wrong type or value raises a ValueError naming the manifest,
     the entry and the field.
@@ -369,6 +418,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             value = item.get(key)
             if (value is not None or key != "speaker_id") and not (isinstance(value, str) and value):
                 raise ValueError(f"{path}: entry {i} field {key!r} must be a non-empty string")
+            if key != "path" and value is not None and not _is_file_name(value):
+                raise ValueError(f"{path}: entry {i} field {key!r} must be one path component, got {value!r}")
         utt = item["utterance_id"]
         if utt in seen:
             raise ValueError(f"{path}: duplicate utterance id {utt!r}")

@@ -111,6 +111,26 @@ class TestTrackPitchReference:
         assert track.voiced.tobytes() == np.isfinite(f0).tobytes()
 
 
+class TestNormalizedAutocorrelation:
+    """Against the direct per-lag sum, with bounds fixed before any run."""
+
+    @pytest.mark.parametrize("sr", [8000, 16000])
+    def test_matches_direct_sum(self, sr):
+        frames = np.vstack([mixed_frames(sr, 0), mixed_frames(sr, 1)])
+        n = frames.shape[1]
+        r = normalized_autocorrelation(frames, 1, n - 1)
+        ref = np.zeros_like(r)
+        for lag in range(1, n):
+            head, tail = frames[:, : n - lag], frames[:, lag:]
+            denom = np.sqrt(np.sum(head * head, axis=1) * np.sum(tail * tail, axis=1))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ref[:, lag - 1] = np.where(denom > 0.0, np.sum(head * tail, axis=1) / denom, 0.0)
+        searched = n - MIN_OVERLAP  # lags 1 .. n - MIN_OVERLAP, the ones a pitch search can use
+        assert np.abs(r[:, :searched] - ref[:, :searched]).max() <= 1e-12
+        # The last lags overlap in few samples; a circular wrap would be off by order 1 there.
+        assert np.abs(r - ref).max() <= 1e-6
+
+
 class TestFrameLogEnergy:
     def test_zero_frame(self):
         e = frame_log_energy(np.zeros((1, 8)))
@@ -216,6 +236,16 @@ class TestVoicedMask:
         mask = voiced_mask(frames, 16000)
         assert not np.any(mask & ~sad)
         assert np.array_equal(mask, sad & track_pitch(frames, 16000).voiced)
+
+    def test_voicing_runs_on_sad_kept_frames_only(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        frames = np.vstack([tone_frames(120.0, 16000, n_frames=20), 1e-4 * rng.uniform(-1, 1, size=(20, 320))])
+        tracked = []
+        monkeypatch.setattr(
+            "warpfilt.sad.track_pitch", lambda f, *args: tracked.append(f.shape[0]) or track_pitch(f, *args)
+        )
+        voiced_mask(frames, 16000)
+        assert tracked == [np.count_nonzero(bi_gaussian_sad(frame_log_energy(frames)))] and tracked[0] < 40
 
 
 def test_pitch_config_validation():
