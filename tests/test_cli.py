@@ -806,6 +806,7 @@ class TestExitCodes:
 
 
 class TestStartup:
+    SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     # A BLAS-sized product after the package import, then the process's thread count.
     THREADS_AFTER_MATMUL = (
@@ -834,30 +835,40 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_no_subcommand_loads_scipy(self, small_corpus, tmp_path):
-        m, s, fb, feats = str(small_corpus["manifest"]), str(tmp_path / "s.json"), str(tmp_path / "fb.json"), str(tmp_path / "feats")
-        ubm, models, scores = str(tmp_path / "ubm.json"), str(tmp_path / "models"), str(tmp_path / "scores.tsv")
-        runs = [
+    def test_import_loads_no_scipy(self):
+        proc = python_child("-c", "import sys, warpfilt, warpfilt.cli; " + self.SCIPY_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def _run_loads_no_scipy(self, runs):
+        script = (
+            "import json, sys; from warpfilt.cli import main; "
+            "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1])); " + self.SCIPY_MODULES
+        )
+        proc = python_child("-c", script, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+    def test_front_end_commands_load_no_scipy(self, small_corpus, tmp_path):
+        m, s, fb = str(small_corpus["manifest"]), str(tmp_path / "s.json"), str(tmp_path / "fb.json")
+        self._run_loads_no_scipy([
             ["learn-scale", "--manifest", m, "--out", s, "--scale", "speech-pitch"],
             ["learn-filterbank", "--manifest", m, "--scale-doc", s, "--out", fb, "--shape", "wpca-norm"],
             ["fratio", "--manifest", m, "--filterbanks", fb, fb],
-            ["extract", "--manifest", m, "--filterbank", fb, "--out", feats],
+            ["extract", "--manifest", m, "--filterbank", fb, "--out", str(tmp_path / "feats")],
+        ])
+
+    def test_backend_commands_load_no_scipy(self, small_corpus, pipeline, tmp_path):
+        feats, ubm = str(pipeline / "feats"), str(tmp_path / "ubm.json")
+        models, scores = str(tmp_path / "models"), str(tmp_path / "scores.tsv")
+        self._run_loads_no_scipy([
             ["train-ubm", "--features", feats, "--out", ubm, "--ubm-components", "4", "--em-iters", "2"],
             ["enroll", "--manifest", str(small_corpus["enroll"]), "--features", feats, "--ubm", ubm, "--out", models],
             ["score", "--trials", str(small_corpus["trials"]), "--models", models, "--ubm", ubm, "--features", feats,
              "--out", scores],
             ["evaluate", "--scores", scores, "--det-out", str(tmp_path / "det.tsv")],
-        ]
-        script = (
-            "import json, sys; from warpfilt.cli import main; "
-            "assert all(main(argv) == 0 for argv in json.loads(sys.argv[1])); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        proc = python_child("-c", script, json.dumps(runs))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]"
+        ])
         assert (tmp_path / "det.tsv").exists()
-
 
 def _has_mallopt():
     try:
