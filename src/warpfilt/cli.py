@@ -81,6 +81,8 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     values = {}
     if path is not None:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
         unknown = set(obj) - set(types)
         if unknown:
@@ -262,8 +264,7 @@ def cmd_learn_scale(args) -> int:
     else:
         if cfg.n_filters < 2:
             raise ValueError(f"n_filters {cfg.n_filters}: need at least two bands")
-        if cfg.n_filters > n_fft // 2 + 1:
-            raise ValueError(f"n_filters {cfg.n_filters}: more bands than bins ({n_fft // 2 + 1} at n_fft {n_fft})")
+        filterbank.check_n_filters(cfg.n_filters, n_fft)
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
         pitch = cfg.pitch_config() if kind == "speech-based-pitch" else None
 

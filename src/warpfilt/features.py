@@ -37,6 +37,15 @@ class FeatureConfig:
     preemph: float = 0.97
 
     def __post_init__(self):
+        # Comparisons written so that a NaN fails them.
+        if not 0.0 < self.frame_ms < np.inf:
+            raise ValueError(f"frame_ms must be positive and finite, got {self.frame_ms}")
+        if not 0.0 < self.hop_ms <= self.frame_ms:
+            raise ValueError(f"hop_ms must lie in (0, frame_ms {self.frame_ms}], got {self.hop_ms}")
+        if not 0.0 <= self.preemph < 1.0:
+            raise ValueError(f"preemph must lie in [0, 1), got {self.preemph}")
+        if self.n_ceps < 1:
+            raise ValueError(f"n_ceps must be >= 1, got {self.n_ceps}")
         if self.delta_window < 1:
             raise ValueError("delta_window must be >= 1")
 

@@ -75,25 +75,28 @@ class Filterbank:
         return self.layout.n_bins
 
 
+def check_n_filters(q: int, n_fft: int):
+    """The filter-count limit: Q filters need Q + 2 distinct boundary bins of the n_fft/2 + 1."""
+    k = n_fft // 2 + 1
+    if q < 1:
+        raise ValueError("need at least one filter")
+    if k < q + 2:
+        raise ValueError(f"too few bins: n_filters {q} needs {q + 2}, n_fft {n_fft} gives {k}")
+
+
 def place_filter_edges(
     scale: WarpingScale, q: int, n_fft: int, sample_rate_hz: int
 ) -> FilterbankLayout:
     """Boundary bins at equidistant warped points j/(Q+1), j = 0..Q+1."""
-    if q < 1:
-        raise ValueError("need at least one filter")
+    check_n_filters(q, n_fft)
     k = n_fft // 2 + 1
-    if k < q + 2:
-        raise ValueError(f"too few bins: n_filters {q} needs {q + 2}, n_fft {n_fft} gives {k}")
     bin_hz = sample_rate_hz / n_fft
     warped = np.arange(q + 2) / (q + 1)
     bins = np.rint(scale.inverse(warped) / bin_hz).astype(np.int64)
     bins[0] = 0
     for j in range(1, q + 2):
-        # Rounding collisions advance one bin to keep the layout strictly increasing.
-        if bins[j] <= bins[j - 1]:
-            bins[j] = bins[j - 1] + 1
-    if bins[-1] > k - 1:
-        raise ValueError(f"too few bins: n_filters {q} do not fit the {k} bins of n_fft {n_fft} on this scale")
+        # Rounding collisions advance one bin, but never into the bins the later boundaries need.
+        bins[j] = min(max(bins[j], bins[j - 1] + 1), k - 2 - q + j)
     bins[-1] = k - 1
     return FilterbankLayout(bins, sample_rate_hz, n_fft)
 

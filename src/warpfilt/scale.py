@@ -202,17 +202,14 @@ def build_warping_scale(
     """Interpolated scale anchored at band midpoints, spanning (0,0) to (nyquist,1).
 
     Band j's midpoint maps to the center of its equal-area cell, (2j-1)/(2Q), so
-    a uniform spectrum yields a linear scale. A first or last band one bin wide has
-    its midpoint on an end knot, so such a partition is rejected.
+    a uniform spectrum yields a linear scale. A first or last band one bin wide would
+    put its knot on the 0 Hz or Nyquist end knot; its knot is instead the center of
+    the part of its bin within [0, nyquist], a quarter bin in from the end.
     """
     q = len(partition.bands)
-    for end, (lo, hi), knot in (("first", partition.bands[0], "0 Hz"), ("last", partition.bands[-1], "Nyquist")):
-        if lo == hi:
-            raise ValueError(
-                f"degenerate scale: at n_filters {q} the {end} band is one bin wide (bin {lo}), "
-                f"so its midpoint is the {knot} end knot; use fewer filters"
-            )
     mids_hz = np.array([(lo + hi) / 2.0 * bin_hz for lo, hi in partition.bands])
+    mids_hz[0] = max(mids_hz[0], 0.25 * bin_hz)
+    mids_hz[-1] = min(mids_hz[-1], nyquist_hz - 0.25 * bin_hz)
     warped = (2.0 * np.arange(1, q + 1) - 1.0) / (2.0 * q)
     knots_hz = np.concatenate(([0.0], mids_hz, [nyquist_hz]))
     knots_warped = np.concatenate(([0.0], warped, [1.0]))

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import os
 import shutil
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from synth import build_corpus
 
 import warpfilt
@@ -41,6 +44,13 @@ def python_child(*args, env=None):
     return subprocess.run(
         [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def write_score_file(root):
+    """A small valid score file: two target and two impostor trials."""
+    path = Path(root) / "scores.tsv"
+    path.write_text("a\tx\ttarget\t2.0\nb\ty\ttarget\t0.5\na\ty\timpostor\t1.0\nb\tx\timpostor\t-1.0\n")
+    return path
 
 
 def parse_kv(text):
@@ -172,42 +182,34 @@ class TestLearnScale:
         assert rc == 0, err
         assert len(out.strip().splitlines()) == 102
 
-    @pytest.mark.parametrize("n_filters", [105, 257])
-    def test_one_bin_end_band_names_n_filters(self, small_corpus, tmp_path, n_filters):
-        out_doc = tmp_path / "s.json"
-        proc = python_child(
-            "-m", "warpfilt.cli", "learn-scale", "--manifest", small_corpus["manifest"], "--out", out_doc,
-            "--scale", "speech-pitch", "--n-filters", n_filters,
+    @pytest.mark.parametrize("scale, n_filters", [("speech", 99), ("speech-pitch", 105)])
+    def test_one_bin_end_band_knot_inside_its_bin(self, capsys, small_corpus, tmp_path, scale, n_filters):
+        # From these counts up, this corpus's partition has a one-bin first band, bin 0,
+        # whose midpoint is 0 Hz; its knot goes a quarter bin above it.
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--out", tmp_path / "s.json",
+            "--scale", scale, "--n-filters", n_filters,
         )
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: degenerate scale: "), lines
-        assert f"n_filters {n_filters}" in lines[0]
-        assert "band is one bin wide" in lines[0]
-        assert not out_doc.exists()
+        assert rc == 0, err
+        knots_hz = [float(line.split("\t")[0]) for line in out.strip().splitlines()]
+        assert len(knots_hz) == n_filters + 2
+        assert knots_hz[:2] == [0.0, 0.25 * 31.25]
 
     @pytest.mark.parametrize(
-        "command, message",
-        [
-            (["learn-scale", "--scale", "speech"], "n_filters 300: more bands than bins (257 at n_fft 512)"),
-            (
-                ["learn-filterbank", "--scale-doc", "SCALE", "--shape", "wpca-norm"],
-                "too few bins: n_filters 300 needs 302, n_fft 512 gives 257",
-            ),
-        ],
+        "command",
+        [["learn-scale", "--scale", "speech"], ["learn-filterbank", "--scale-doc", "SCALE", "--shape", "wpca-norm"]],
         ids=["learn-scale", "learn-filterbank"],
     )
-    def test_too_many_filters_named_before_corpus_pass(
-        self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command, message
-    ):
+    def test_too_many_filters_named_before_corpus_pass(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command):
         loaded = count_calls(monkeypatch, store, "load_wav")
         argv = [pipeline / "scale.json" if a == "SCALE" else a for a in command]
-        rc, _, err = run(
-            capsys, argv[0], "--manifest", small_corpus["manifest"], *argv[1:], "--out", tmp_path / "out",
-            "--n-filters", 300,
-        )
-        assert rc == 2
-        assert err.splitlines() == [f"error: {message}"]
+        for n_filters in (256, 257, 300):
+            rc, _, err = run(
+                capsys, argv[0], "--manifest", small_corpus["manifest"], *argv[1:], "--out", tmp_path / "out",
+                "--n-filters", n_filters,
+            )
+            assert rc == 2
+            assert err.splitlines() == [f"error: too few bins: n_filters {n_filters} needs {n_filters + 2}, n_fft 512 gives 257"]
         assert loaded == [] and not (tmp_path / "out").exists()
 
     def test_one_filter_named_before_corpus_pass(self, capsys, monkeypatch, small_corpus, tmp_path):
@@ -283,6 +285,26 @@ class TestLearnFilterbank:
         )
         assert rc == 0, err
         assert len(load_model(tmp_path / "fb.json").payload["responses"]) == n_filters
+
+    @pytest.mark.parametrize("n_filters", [105, 255])
+    def test_chain_at_large_n_filters(self, capsys, small_corpus, tmp_path, n_filters):
+        # 255 = n_fft/2 - 1 is the most filters; 105 is where a one-bin end band first appears.
+        m = small_corpus["manifest"]
+        rc, _, err = run(
+            capsys, "learn-scale", "--manifest", m, "--out", tmp_path / "scale.json", "--scale", "speech-pitch",
+            "--n-filters", n_filters,
+        )
+        assert rc == 0, err
+        for shape in ("tri", "wpca-norm"):
+            rc, out, err = run(
+                capsys, "learn-filterbank", "--manifest", m, "--scale-doc", tmp_path / "scale.json",
+                "--out", tmp_path / f"{shape}.json", "--shape", shape, "--n-filters", n_filters,
+            )
+            assert rc == 0, err
+            assert parse_kv(out)["filters"] == str(n_filters)
+            rc, out, err = run(capsys, "extract", "--manifest", m, "--filterbank", tmp_path / f"{shape}.json", "--out", tmp_path / shape)
+            assert rc == 0, err
+            assert len(out.strip().splitlines()) == 12
 
     def test_pca_on_scale_with_40ms_frames(self, capsys, small_corpus, long_frames, tmp_path):
         # The spectra take the scale document's 1024-point FFT, not one from the 20 ms frames.
@@ -1001,3 +1023,58 @@ class TestRunConfig:
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: field '")
+
+    @pytest.mark.parametrize("text", ["5", "null", "true", "[]", '"abc"'])
+    def test_config_not_an_object_exits_2_with_one_line(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        rc, _, err = run(capsys, "evaluate", "--scores", write_score_file(tmp_path), "--config", path)
+        assert rc == 2
+        assert err.splitlines() == [f"error: {path}: config must be a JSON object"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"frame_ms": 0.0}', "frame_ms must be positive and finite, got 0.0"),
+            ('{"frame_ms": -20}', "frame_ms must be positive and finite, got -20"),
+            ('{"frame_ms": Infinity}', "frame_ms must be positive and finite, got inf"),
+            ('{"hop_ms": 30.0}', "hop_ms must lie in (0, frame_ms 20.0], got 30.0"),
+            ('{"hop_ms": 0}', "hop_ms must lie in (0, frame_ms 20.0], got 0"),
+            ('{"preemph": 1.5}', "preemph must lie in [0, 1), got 1.5"),
+            ('{"preemph": 1}', "preemph must lie in [0, 1), got 1"),
+            ('{"preemph": -0.1}', "preemph must lie in [0, 1), got -0.1"),
+            ('{"n_ceps": -3}', "n_ceps must be >= 1, got -3"),
+            ('{"n_ceps": 0}', "n_ceps must be >= 1, got 0"),
+        ],
+    )
+    def test_front_end_range_exits_2_before_audio(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(
+            capsys, "extract", "--manifest", small_corpus["manifest"], "--filterbank", pipeline / "fb.json",
+            "--out", tmp_path / "feats", "--config", path,
+        )
+        assert rc == 2
+        assert err.splitlines() == [f"error: {message}"]
+        assert out == "" and loaded == [] and not (tmp_path / "feats").exists()
+
+    def test_front_end_ranges_accept_their_bounds(self):
+        cfg = RunConfig(frame_ms=25.0, hop_ms=25.0, preemph=0.0, n_ceps=1)
+        assert (cfg.hop_ms, cfg.preemph, cfg.n_ceps) == (25.0, 0.0, 1)
+
+    JSON_VALUES = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from([None, *(f.name for f in dataclasses.fields(RunConfig))]), value=JSON_VALUES)
+    def test_any_json_value_in_config(self, capsys, tmp_path, field, value):
+        # field None: the value is the whole config document.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(value if field is None else {field: value}))
+        rc, _, err = run(capsys, "evaluate", "--scores", write_score_file(tmp_path), "--config", path)
+        assert rc in (0, 2)
+        assert len(err.splitlines()) <= 1

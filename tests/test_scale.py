@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import warpfilt
 
 from warpfilt.dsp import PowerSpectrogram, hamming_window, power_spectrum
-from warpfilt.sad import bi_gaussian_sad, frame_log_energy, voiced_mask
+from warpfilt.features import FeatureConfig, utterance_spectra
+from warpfilt.filterbank import place_filter_edges
+from warpfilt.sad import PitchConfig, bi_gaussian_sad, frame_log_energy, voiced_mask
 from warpfilt.scale import (
     AREA_SHIFT,
     Ltas,
@@ -26,6 +28,7 @@ from warpfilt.scale import (
     mel_warping_scale,
     partition_areas,
 )
+from warpfilt.store import load_manifest, load_wav
 
 
 def spec_of(frames, n_fft=8, sr=16000):
@@ -236,11 +239,12 @@ class TestBuildWarpingScale:
         assert np.allclose(scale.knots_hz, [0.0, 0.5, 3.5, 5.0])
         assert np.allclose(scale.knots_warped, [0.0, 0.25, 0.75, 1.0])
 
-    def test_degenerate_scale_rejected(self):
+    def test_one_bin_end_bands_knot_a_quarter_bin_in(self):
+        # Both bands are one bin wide, so their midpoints, 0 and 1, are the end knots.
         part = partition_areas(np.array([1.0, 1.0]), 2)
-        # single-bin last band puts its midpoint on the Nyquist knot
-        with pytest.raises(ValueError, match="degenerate scale"):
-            build_warping_scale(part, 1.0, 1.0)
+        scale = build_warping_scale(part, 1.0, 1.0)
+        assert np.array_equal(scale.knots_hz, [0.0, 0.25, 0.75, 1.0])
+        assert np.array_equal(scale.knots_warped, [0.0, 0.25, 0.75, 1.0])
 
     def test_strictly_monotone_on_random_spectra(self):
         rng = np.random.default_rng(3)
@@ -259,6 +263,73 @@ class TestBuildWarpingScale:
         f = rng.uniform(0.0, 127.0, size=1000)
         back = scale.inverse(scale.warp(f))
         assert np.abs(back - f).max() <= 1e-6 * 127.0
+
+
+def earlier_build_warping_scale(partition, bin_hz, nyquist_hz, kind):
+    """build_warping_scale as it was when it rejected a one-bin first or last band: the reference where it succeeds."""
+    if partition.bands[0][0] == partition.bands[0][1] or partition.bands[-1][0] == partition.bands[-1][1]:
+        raise ValueError("degenerate scale")
+    q = len(partition.bands)
+    mids_hz = np.array([(lo + hi) / 2.0 * bin_hz for lo, hi in partition.bands])
+    warped = (2.0 * np.arange(1, q + 1) - 1.0) / (2.0 * q)
+    knots_hz = np.concatenate(([0.0], mids_hz, [nyquist_hz]))
+    knots_warped = np.concatenate(([0.0], warped, [1.0]))
+    return WarpingScale(knots_hz, knots_warped, kind)
+
+
+def earlier_place_filter_edges(scale, q, n_fft, sample_rate_hz):
+    """The boundary bins of place_filter_edges as it was when it rejected a layout that ran past the last bin."""
+    k = n_fft // 2 + 1
+    bins = np.rint(scale.inverse(np.arange(q + 2) / (q + 1)) / (sample_rate_hz / n_fft)).astype(np.int64)
+    bins[0] = 0
+    for j in range(1, q + 2):
+        if bins[j] <= bins[j - 1]:
+            bins[j] = bins[j - 1] + 1
+    if bins[-1] > k - 1:
+        raise ValueError("too few bins")
+    bins[-1] = k - 1
+    return bins
+
+
+@pytest.fixture(scope="module")
+def corpus_ltas(small_corpus):
+    """The average LTAS of the 3-speaker test corpus under the speech and speech-pitch frame selections."""
+    segments = [load_wav(entry.path) for entry in load_manifest(small_corpus["manifest"]).entries]
+    return {
+        kind: average_ltas([compute_ltas(*utterance_spectra(seg, FeatureConfig(), 512, pitch)) for seg in segments])
+        for kind, pitch in (("speech-based", None), ("speech-based-pitch", PitchConfig()))
+    }
+
+
+@pytest.mark.parametrize("kind", ["mel", "speech-based", "speech-based-pitch"])
+def test_every_filter_count_up_to_k_minus_2(corpus_ltas, kind):
+    """Each Q up to K - 2 = 255 gives a scale and a layout, equal to the earlier code's wherever that succeeded."""
+    def or_none(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError:
+            return None
+
+    earlier_failed = []
+    for q in range(1 if kind == "mel" else 2, 256):
+        if kind == "mel":
+            scale = earlier = mel_warping_scale(8000.0)
+        else:
+            partition = equal_area_partition(corpus_ltas[kind], q)
+            scale = build_warping_scale(partition, corpus_ltas[kind].bin_hz, 8000.0, kind)
+            earlier = or_none(earlier_build_warping_scale, partition, corpus_ltas[kind].bin_hz, 8000.0, kind)
+        bins = place_filter_edges(scale, q, 512, 16000).boundary_bins
+        assert bins.size == q + 2 and bins[0] == 0 and bins[-1] == 256 and np.all(np.diff(bins) > 0)
+        if earlier is not None:
+            assert np.array_equal(scale.knots_hz, earlier.knots_hz)
+            assert np.array_equal(scale.knots_warped, earlier.knots_warped)
+        earlier_bins = None if earlier is None else or_none(earlier_place_filter_edges, earlier, q, 512, 16000)
+        if earlier_bins is None:
+            earlier_failed.append(q)
+        else:
+            assert np.array_equal(bins, earlier_bins)
+    # The speech scales reach counts where the earlier code failed; mel never did.
+    assert (earlier_failed == []) == (kind == "mel"), earlier_failed
 
 
 class TestMelScale:
