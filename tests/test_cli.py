@@ -195,9 +195,24 @@ class TestLearnScale:
         assert len(knots_hz) == n_filters + 2
         assert knots_hz[:2] == [0.0, 0.25 * 31.25]
 
+    @pytest.mark.parametrize("n_filters", [257])
+    def test_one_bin_end_band_names_n_filters(self, small_corpus, tmp_path, n_filters):
+        # 257 bands would leave one-bin end bands on this corpus; the n_filters limit
+        # names the count first, in a child process's one stderr line, and writes nothing.
+        out_doc = tmp_path / "s.json"
+        proc = python_child(
+            "-m", "warpfilt.cli", "learn-scale", "--manifest", small_corpus["manifest"], "--out", out_doc,
+            "--scale", "speech-pitch", "--n-filters", n_filters,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"error: too few bins: n_filters {n_filters} needs {n_filters + 2}, n_fft 512 gives 257"
+        ]
+        assert not out_doc.exists()
+
     @pytest.mark.parametrize(
         "command",
-        [["learn-scale", "--scale", "speech"], ["learn-filterbank", "--scale-doc", "SCALE", "--shape", "wpca-norm"]],
+        [["learn-scale", "--scale", "speech"],["learn-filterbank", "--scale-doc", "SCALE", "--shape", "wpca-norm"]],
         ids=["learn-scale", "learn-filterbank"],
     )
     def test_too_many_filters_named_before_corpus_pass(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command):
