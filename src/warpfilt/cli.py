@@ -4,7 +4,6 @@ F-ratio analysis, and GMM-UBM verification with DET/EER/minDCF reporting."""
 import argparse
 import ctypes
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -68,6 +67,11 @@ class RunConfig(FeatureConfig):
         for name in ("jobs", "ubm_components", "em_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Comparisons written so that a NaN fails them.
+        if not 0.0 <= self.relevance < math.inf:
+            raise ValueError(f"relevance must be finite and >= 0, got {self.relevance}")
+        if not -math.inf < self.voicing_threshold < math.inf:
+            raise ValueError(f"voicing_threshold must be finite, got {self.voicing_threshold}")
 
     def pitch_config(self) -> sad.PitchConfig:
         return sad.PitchConfig(self.pitch_f_min_hz, self.pitch_f_max_hz, self.voicing_threshold)
@@ -80,7 +84,7 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     """RunConfig from an optional JSON file plus flag overrides (flags win)."""
     values = {}
     if path is not None:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = store.read_json(path)
         if not isinstance(obj, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -167,9 +171,11 @@ def _directory_lock(outdir: Path):
         lock.unlink(missing_ok=True)
 
 
-def _refuse_existing(path: Path, overwrite: bool):
-    if path.exists() and not overwrite:
-        raise ValueError(f"{path} exists; pass --overwrite to replace it")
+def _refuse_existing(paths, overwrite: bool):
+    """Refuse to replace any of a command's outputs (None: one not asked for) unless overwrite."""
+    for path in paths:
+        if path is not None and not overwrite and Path(path).exists():
+            raise ValueError(f"{path} exists; pass --overwrite to replace it")
 
 
 def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: bool = False):
@@ -252,12 +258,13 @@ def _provenance(cfg: RunConfig, manifest_path: str | None) -> dict:
 def cmd_learn_scale(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
+    _refuse_existing([out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
-    if not manifest.entries:
-        raise ValueError("no utterances")
     sr = manifest.sample_rate_hz
-    n_fft = next_pow2(ms_to_samples(cfg.frame_ms, sr))
+    try:
+        n_fft = store.check_n_fft(next_pow2(ms_to_samples(cfg.frame_ms, sr)))
+    except ValueError as err:
+        raise ValueError(f"frame_ms {cfg.frame_ms} at {sr} Hz: {err}") from None
     kind = SCALE_FLAGS[cfg.scale]
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
@@ -285,19 +292,18 @@ def cmd_learn_scale(args) -> int:
 def cmd_learn_filterbank(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
-    scale_doc, warping = _load_document(args.scale_doc, "warping-scale")
-    n_fft = scale_doc.n_fft
-    layout = filterbank.place_filter_edges(warping, cfg.n_filters, n_fft, scale_doc.sample_rate_hz)
+    _refuse_existing([out], args.overwrite)
     shape_kind = SHAPE_FLAGS[cfg.shape]
-    if shape_kind == "triangular":
-        fb = filterbank.triangular_responses(layout)
-    else:
+    if shape_kind != "triangular":
         if args.manifest is None:
             raise ValueError("PCA filter shapes need --manifest for the corpus pass")
         manifest = store.load_manifest(args.manifest)
-        if not manifest.entries:
-            raise ValueError("no utterances")
+    scale_doc, warping = _load_document(args.scale_doc, "warping-scale")
+    n_fft = scale_doc.n_fft
+    layout = filterbank.place_filter_edges(warping, cfg.n_filters, n_fft, scale_doc.sample_rate_hz)
+    if shape_kind == "triangular":
+        fb = filterbank.triangular_responses(layout)
+    else:
         _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg)
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
 
@@ -319,17 +325,13 @@ def cmd_learn_filterbank(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _config_from_args(args)
     manifest = store.load_manifest(args.manifest)
-    if not manifest.entries:
-        raise ValueError("no utterances")
+    outdir = Path(args.out)
+    targets = {e.utterance_id: outdir / f"{e.utterance_id}.wflt" for e in manifest.entries}
+    _refuse_existing(targets.values(), args.overwrite)
     fb_doc, fb = _load_document(args.filterbank, "filterbank")
     _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg)
     if cfg.n_ceps > fb.n_filters - 1:
         raise ValueError(f"{args.filterbank}: n_ceps {cfg.n_ceps} must be <= n_filters - 1 = {fb.n_filters - 1}")
-    outdir = Path(args.out)
-    targets = {e.utterance_id: outdir / f"{e.utterance_id}.wflt" for e in manifest.entries}
-    if not args.overwrite:
-        for path in targets.values():
-            _refuse_existing(path, False)
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write(seg):
@@ -353,8 +355,7 @@ def cmd_extract(args) -> int:
 
 def cmd_fratio(args) -> int:
     cfg = _config_from_args(args)
-    if args.out is not None:
-        _refuse_existing(Path(args.out), args.overwrite)
+    _refuse_existing([args.out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
     speakers = manifest.speakers()
     if len(speakers) < 2:
@@ -386,19 +387,33 @@ def cmd_fratio(args) -> int:
     return EXIT_OK
 
 
-def _read_feature_dir(features_dir: Path) -> dict:
-    files = sorted(features_dir.glob("*.wflt"))
+def _feature_files(features_dir: str, ids=(), what: str = "") -> dict:
+    """{id: path} of the .wflt files in features_dir; a ValueError names the first of ids (a `what`) without one."""
+    files = {p.stem: p for p in sorted(Path(features_dir).glob("*.wflt"))}
     if not files:
         raise ValueError(f"no feature files in {features_dir}")
-    return {p.stem: p for p in files}
+    for i in ids:
+        if i not in files:
+            raise ValueError(f"{features_dir}: no features for {what} {i}")
+    return files
+
+
+def _speech_frames(paths) -> np.ndarray:
+    """The speech frames of the feature files at paths, stacked; a ValueError names a file of another dimension."""
+    rows = []
+    for path in paths:
+        frames = store.read_features(path).speech_frames
+        if rows and frames.shape[1] != rows[0].shape[1]:
+            raise ValueError(f"{path}: dim {frames.shape[1]} differs from dim {rows[0].shape[1]} of {paths[0]}")
+        rows.append(frames)
+    return np.vstack(rows)
 
 
 def cmd_train_ubm(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
-    feature_files = _read_feature_dir(Path(args.features))
-    frames = np.vstack([store.read_features(p).speech_frames for p in feature_files.values()])
+    _refuse_existing([out], args.overwrite)
+    frames = _speech_frames(list(_feature_files(args.features).values()))
     model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
     prov = _provenance(cfg, None)
     prov["em_log_likelihoods"] = [float(v) for v in history]
@@ -415,50 +430,42 @@ def cmd_enroll(args) -> int:
     speakers = manifest.speakers()
     if not speakers:
         raise ValueError("manifest has no speaker_ids")
-    _, ubm = _load_document(args.ubm, "gmm")
-    feature_files = _read_feature_dir(Path(args.features))
     outdir = Path(args.out)
+    _refuse_existing([outdir / f"{speaker}.json" for speaker in speakers], args.overwrite)
+    feature_files = _feature_files(args.features, [e.utterance_id for es in speakers.values() for e in es], "utterance")
+    _, ubm = _load_document(args.ubm, "gmm")
     outdir.mkdir(parents=True, exist_ok=True)
-    if not args.overwrite:
-        for speaker in speakers:
-            _refuse_existing(outdir / f"{speaker}.json", False)
     with _directory_lock(outdir):
         for speaker, entries in sorted(speakers.items()):
-            rows = []
-            for entry in entries:
-                if entry.utterance_id not in feature_files:
-                    raise ValueError(f"no features for utterance {entry.utterance_id}")
-                rows.append(store.read_features(feature_files[entry.utterance_id]).speech_frames)
-            adapted = backend.map_adapt_means(ubm, np.vstack(rows), cfg.relevance)
+            frames = _speech_frames([feature_files[e.utterance_id] for e in entries])
+            adapted = backend.map_adapt_means(ubm, frames, cfg.relevance)
             store.save_model(
                 store.gmm_document(adapted, 0, 0, _provenance(cfg, args.manifest)),
                 outdir / f"{speaker}.json",
             )
-            print(f"{speaker}\t{sum(r.shape[0] for r in rows)}")
+            print(f"{speaker}\t{frames.shape[0]}")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
-    _refuse_existing(out, args.overwrite)
+    _refuse_existing([out], args.overwrite)
     trials = store.read_trials(args.trials)
     if not trials.trials:
         raise ValueError("no trials")
-    _, ubm = _load_document(args.ubm, "gmm")
-    models_dir = Path(args.models)
-    feature_files = _read_feature_dir(Path(args.features))
-    enroll_models = {}
     by_test = {}  # test_id -> indices of its trials, in trial-list order
     for i, t in enumerate(trials.trials):
+        by_test.setdefault(t.test_id, []).append(i)
+    feature_files = _feature_files(args.features, by_test, "test segment")
+    _, ubm = _load_document(args.ubm, "gmm")
+    enroll_models = {}
+    for t in trials.trials:
         if t.enroll_id not in enroll_models:
-            path = models_dir / f"{t.enroll_id}.json"
+            path = Path(args.models) / f"{t.enroll_id}.json"
             if not path.exists():
                 raise ValueError(f"no enrolled model for {t.enroll_id}")
             _, enroll_models[t.enroll_id] = _load_document(path, "gmm")
-        if t.test_id not in feature_files:
-            raise ValueError(f"no features for test segment {t.test_id}")
-        by_test.setdefault(t.test_id, []).append(i)
 
     def one(test_id):
         try:
@@ -480,8 +487,7 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    if args.det_out is not None:
-        _refuse_existing(Path(args.det_out), args.overwrite)
+    _refuse_existing([args.det_out], args.overwrite)
     scores = store.read_scores(args.scores)
     if args.fuse_with is not None:
         scores = backend.fuse_scores(scores, store.read_scores(args.fuse_with))
@@ -607,7 +613,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

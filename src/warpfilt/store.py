@@ -20,6 +20,8 @@ SCHEMA_VERSION = 1
 MODEL_KINDS = ("warping-scale", "filterbank", "gmm")
 DOCUMENT_KEYS = {"schema_version", "kind", "sample_rate_hz", "n_fft", "payload", "provenance"}
 
+MAX_N_FFT = 1 << 16
+
 FEATURE_MAGIC = b"WFLT"
 FEATURE_VERSION = 1
 
@@ -44,6 +46,23 @@ def _atomic_write(path: str | Path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; a ValueError names the file when it is no UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value of a UTF-8 file; a ValueError names the file when it holds none."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # a syntax error, an oversized integer, or nesting too deep
+        raise ValueError(f"{path}: {err}") from None
 
 
 # --- WAV ---------------------------------------------------------------------
@@ -160,7 +179,7 @@ def save_model(doc: ModelDocument, path: str | Path):
 
 def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocument:
     """Read and validate a model document; checks keys, version, kind, and checksum."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = read_json(path)
     if not isinstance(obj, dict) or set(obj) != DOCUMENT_KEYS:
         raise ValueError(f"{path}: unexpected document keys")
     if obj["schema_version"] != SCHEMA_VERSION:
@@ -191,6 +210,13 @@ def _header_int(doc: ModelDocument, name: str, minimum: int) -> int:
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def check_n_fft(n_fft) -> int:
+    """The n_fft rule of scale and filterbank documents: a power of two no larger than MAX_N_FFT."""
+    if type(n_fft) is not int or not 0 < n_fft <= MAX_N_FFT or n_fft & (n_fft - 1):
+        raise ValueError(f"n_fft must be a power of two <= {MAX_N_FFT}, got {n_fft!r}")
+    return n_fft
 
 
 def _payload_array(payload: dict, name: str, ndim: int, integer: bool = False) -> np.ndarray:
@@ -233,7 +259,7 @@ def scale_document(
 def scale_from_document(doc: ModelDocument) -> WarpingScale:
     p = doc.payload
     _header_int(doc, "sample_rate_hz", 1)
-    _header_int(doc, "n_fft", 1)
+    check_n_fft(doc.n_fft)
     # WarpingScale validates monotonicity, catching hand-edited documents.
     return WarpingScale(_payload_array(p, "knots_hz", 1), _payload_array(p, "knots_warped", 1), p.get("scale_kind"))
 
@@ -251,7 +277,7 @@ def filterbank_document(fb: Filterbank, provenance: dict | None = None) -> Model
 
 def filterbank_from_document(doc: ModelDocument) -> Filterbank:
     p = doc.payload
-    rate, n_fft = _header_int(doc, "sample_rate_hz", 1), _header_int(doc, "n_fft", 1)
+    rate, n_fft = _header_int(doc, "sample_rate_hz", 1), check_n_fft(doc.n_fft)
     layout = FilterbankLayout(_payload_array(p, "boundary_bins", 1, integer=True), rate, n_fft)
     return Filterbank(layout, _payload_array(p, "responses", 2), p.get("shape_kind"))
 
@@ -314,24 +340,30 @@ def _is_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
 
 
-def read_trials(path: str | Path) -> TrialScoreSet:
-    """Parse 'enroll<TAB>test<TAB>target|impostor' lines; each id must be able to name a file."""
-    trials = []
+def _trial_lines(path: str | Path, n_fields: int, what: str):
+    """('path:line', fields) of each non-blank line: n_fields tab-separated fields, label third, no trial twice."""
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != 3 or parts[2] not in ("target", "impostor"):
-            raise ValueError(f"{path}:{lineno}: malformed trial line")
-        for field, value in zip(("enroll_id", "test_id"), parts):
-            if not _is_file_name(value):
-                raise ValueError(f"{path}:{lineno}: field {field!r} must be one path component, got {value!r}")
+        if len(parts) != n_fields or parts[2] not in ("target", "impostor"):
+            raise ValueError(f"{path}:{lineno}: malformed {what} line")
         key = (parts[0], parts[1])
         if key in seen:
             raise ValueError(f"{path}:{lineno}: duplicate trial {key}")
         seen.add(key)
-        trials.append(Trial(parts[0], parts[1], parts[2]))
+        yield f"{path}:{lineno}", parts
+
+
+def read_trials(path: str | Path) -> TrialScoreSet:
+    """Parse 'enroll<TAB>test<TAB>target|impostor' lines; each id must be able to name a file."""
+    trials = []
+    for where, parts in _trial_lines(path, 3, "trial"):
+        for field, value in zip(("enroll_id", "test_id"), parts):
+            if not _is_file_name(value):
+                raise ValueError(f"{where}: field {field!r} must be one path component, got {value!r}")
+        trials.append(Trial(*parts))
     return TrialScoreSet(trials)
 
 
@@ -348,24 +380,14 @@ def write_scores(scores: TrialScoreSet, path: str | Path):
 def read_scores(path: str | Path) -> TrialScoreSet:
     """Parse score files written by write_scores."""
     trials = []
-    seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4 or parts[2] not in ("target", "impostor"):
-            raise ValueError(f"{path}:{lineno}: malformed score line")
+    for where, parts in _trial_lines(path, 4, "score"):
         try:
             value = float(parts[3])
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed score value") from None
+            raise ValueError(f"{where}: malformed score value") from None
         if not np.isfinite(value):
-            raise ValueError(f"{path}:{lineno}: non-finite score")
-        key = (parts[0], parts[1])
-        if key in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate trial {key}")
-        seen.add(key)
-        trials.append(Trial(parts[0], parts[1], parts[2], value))
+            raise ValueError(f"{where}: non-finite score")
+        trials.append(Trial(*parts[:3], value))
     return TrialScoreSet(trials)
 
 
@@ -394,11 +416,11 @@ class CorpusManifest:
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Read a JSON corpus manifest; ids must be unique and able to name files, and paths must name files.
 
-    A field of the wrong type or value raises a ValueError naming the manifest,
-    the entry and the field.
+    No entries, or a field of the wrong type or value, raises a ValueError naming
+    the manifest (and the entry and the field).
     """
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj = read_json(path)
     if not isinstance(obj, dict) or "entries" not in obj or "sample_rate_hz" not in obj:
         raise ValueError(f"{path}: manifest needs 'sample_rate_hz' and 'entries'")
     rate = obj["sample_rate_hz"]
@@ -406,6 +428,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise ValueError(f"{path}: field 'sample_rate_hz' must be a positive integer")
     if not isinstance(obj["entries"], list):
         raise ValueError(f"{path}: field 'entries' must be a list")
+    if not obj["entries"]:
+        raise ValueError(f"{path}: no utterances")
     entries = []
     seen = set()
     for i, item in enumerate(obj["entries"]):

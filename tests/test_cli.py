@@ -645,19 +645,24 @@ class TestExitCodes:
                 "--features", "ART/feats", "--out",
             ],
             ["evaluate", "--scores", "ART/scores.tsv", "--det-out"],
+            ["extract", "--manifest", "MANIFEST", "--filterbank", "ART/fb.json", "--out"],
+            ["enroll", "--manifest", "ENROLL", "--features", "ART/feats", "--ubm", "ART/ubm.json", "--out"],
         ],
         ids=lambda command: command[0],
     )
     def test_existing_output_refused_before_work(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command):
-        existing = tmp_path / "existing"
+        # extract and enroll write into a directory; one of their later outputs exists there.
+        out_path = tmp_path / "existing"
+        existing = out_path / {"extract": "spk2_u03.wflt", "enroll": "spk1.json"}.get(command[0], "")
+        existing.parent.mkdir(exist_ok=True)
         existing.write_text("kept\n")
-        reads = [count_calls(monkeypatch, store, name) for name in ("load_wav", "read_features", "read_scores")]
-        names = {"MANIFEST": small_corpus["manifest"], "TRIALS": small_corpus["trials"]}
+        reads = [count_calls(monkeypatch, store, name) for name in ("load_wav", "read_features", "read_scores", "load_model")]
+        names = {"MANIFEST": small_corpus["manifest"], "ENROLL": small_corpus["enroll"], "TRIALS": small_corpus["trials"]}
         argv = [names.get(a, pipeline / a[4:] if a.startswith("ART/") else a) for a in command]
-        rc, out, err = run(capsys, *argv, existing)
+        rc, out, err = run(capsys, *argv, out_path)
         assert rc == 2
         assert err.splitlines() == [f"error: {existing} exists; pass --overwrite to replace it"]
-        assert out == "" and reads == [[], [], []]
+        assert out == "" and reads == [[], [], [], []]
         assert existing.read_text() == "kept\n"
 
     @pytest.mark.parametrize("label, value", [("target", "nan"), ("impostor", "nan"), ("impostor", "-inf")])
@@ -840,6 +845,158 @@ class TestExitCodes:
         rc, out, err = run(capsys, "learn-filterbank", "--scale-doc", bad, "--shape", "tri", "--out", tmp_path / "fb.json")
         assert rc == 2 and out == ""
         assert err.splitlines() == [f"error: {bad}: {part} must be an object"]
+
+
+class TestTextInputs:
+    """A text input that is no UTF-8, no JSON or JSON nested too deep exits 2 with one line naming the file."""
+
+    BAD_TEXT = {
+        "syntax": b'{"a": x}',
+        "not-utf-8": b'{"a": "\xff"}',
+        "deep": b"[" * 200_000,
+    }
+
+    @pytest.mark.parametrize("which", ["config", "manifest", "model"])
+    @pytest.mark.parametrize("kind", sorted(BAD_TEXT))
+    def test_bad_json_input_one_line_naming_file(self, capsys, monkeypatch, small_corpus, tmp_path, which, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.BAD_TEXT[kind])
+        argv = {
+            "config": ["learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech", "--config", bad],
+            "manifest": ["learn-scale", "--manifest", bad, "--scale", "speech"],
+            "model": ["learn-filterbank", "--manifest", small_corpus["manifest"], "--scale-doc", bad, "--shape", "pca"],
+        }[which]
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(capsys, *argv, "--out", tmp_path / "out.json")
+        assert rc == 2 and out == "" and loaded == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+        if kind == "syntax":
+            assert lines == [f"error: {bad}: Expecting value: line 1 column 7 (char 6)"]
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("which", ["trials", "scores"])
+    def test_trial_lines_not_utf_8_one_line_naming_file(self, capsys, small_corpus, pipeline, tmp_path, which):
+        source = small_corpus["trials"] if which == "trials" else pipeline / "scores.tsv"
+        lines = source.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"spk", b"sp\xffk", 1)
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"".join(lines))
+        if which == "trials":
+            argv = ["score", "--trials", bad, "--models", pipeline / "models", "--ubm", pipeline / "ubm.json",
+                    "--features", pipeline / "feats", "--out", tmp_path / "scores.tsv"]
+        else:
+            argv = ["evaluate", "--scores", bad]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {bad}: ")
+        assert not (tmp_path / "scores.tsv").exists()
+
+    TRIAL_FIELDS = st.sampled_from(["spk0", "spk1", "spk2_u02", "spk0_u03", "target", "impostor", "0.5", "nan", ""])
+    TRIAL_TEXT = st.lists(
+        st.lists(TRIAL_FIELDS | st.text(st.characters(blacklist_categories=("Cs",)), max_size=5), max_size=5).map("\t".join),
+        max_size=5,
+    ).map("\n".join)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(which=st.sampled_from(["trials", "scores"]), text=TRIAL_TEXT)
+    def test_any_trial_or_score_text(self, capsys, pipeline, tmp_path, which, text):
+        path = tmp_path / "lines.tsv"
+        path.write_text(text, encoding="utf-8")
+        if which == "trials":
+            argv = ["score", "--trials", path, "--models", pipeline / "models", "--ubm", pipeline / "ubm.json",
+                    "--features", pipeline / "feats", "--out", tmp_path / "scores.tsv", "--overwrite"]
+        else:
+            argv = ["evaluate", "--scores", path]
+        rc, _, err = run(capsys, *argv)
+        assert rc in (0, 2)
+        assert len(err.splitlines()) <= 1
+
+
+class TestFeatureInputs:
+    def test_enroll_missing_feature_file_writes_no_model(self, capsys, small_corpus, pipeline, tmp_path):
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        (feats / "spk2_u01.wflt").unlink()
+        models = tmp_path / "models"
+        rc, out, err = run(
+            capsys, "enroll", "--manifest", small_corpus["enroll"], "--features", feats, "--ubm", pipeline / "ubm.json",
+            "--out", models,
+        )
+        assert rc == 2
+        assert err.splitlines() == [f"error: {feats}: no features for utterance spk2_u01"]
+        assert out == "" and not models.exists()
+
+    def test_score_missing_feature_file_names_test_segment(self, capsys, small_corpus, pipeline, tmp_path):
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        (feats / "spk1_u03.wflt").unlink()
+        rc, out, err = run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", pipeline / "models",
+            "--ubm", pipeline / "ubm.json", "--features", feats, "--out", tmp_path / "scores.tsv",
+        )
+        assert rc == 2
+        assert err.splitlines() == [f"error: {feats}: no features for test segment spk1_u03"]
+        assert out == "" and not (tmp_path / "scores.tsv").exists()
+
+    def test_train_ubm_names_file_of_other_dimension(self, capsys, pipeline, tmp_path):
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        files = sorted(feats.glob("*.wflt"))
+        fm = read_features(files[6])
+        write_features(FeatureMatrix(fm.vectors[:, :30], fm.mask), files[6])
+        rc, out, err = run(capsys, "train-ubm", "--features", feats, "--out", tmp_path / "ubm.json", "--ubm-components", 4)
+        assert rc == 2
+        assert err.splitlines() == [f"error: {files[6]}: dim 30 differs from dim 57 of {files[0]}"]
+        assert out == "" and not (tmp_path / "ubm.json").exists()
+
+
+class TestNFftRule:
+    """Scale and filterbank documents need an n_fft that is a power of two no larger than 2**16."""
+
+    MESSAGE = "n_fft must be a power of two <= 65536, got {}"
+
+    @pytest.mark.parametrize("n_fft", [640, 2**17, 2**70])
+    @pytest.mark.parametrize("shape", ["tri", "pca"])
+    def test_scale_document(self, capsys, monkeypatch, small_corpus, tmp_path, shape, n_fft):
+        bad = tmp_path / "scale.json"
+        store.save_model(store.scale_document(mel_warping_scale(8000.0), 16000, n_fft), bad)
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(
+            capsys, "learn-filterbank", "--manifest", small_corpus["manifest"], "--scale-doc", bad,
+            "--shape", shape, "--out", tmp_path / "fb.json",
+        )
+        assert rc == 2 and out == "" and loaded == []
+        assert err.splitlines() == [f"error: {bad}: {self.MESSAGE.format(n_fft)}"]
+        assert not (tmp_path / "fb.json").exists()
+
+    @pytest.mark.parametrize("n_fft", [640, 2**70])
+    def test_filterbank_document(self, capsys, monkeypatch, small_corpus, tmp_path, n_fft):
+        # A filterbank laid out on 640 bins, consistent but for its n_fft.
+        fb = triangular_responses(place_filter_edges(mel_warping_scale(8000.0), 20, 640, 16000))
+        doc = store.filterbank_document(fb)
+        doc.n_fft = n_fft
+        bad = tmp_path / "fb.json"
+        store.save_model(doc, bad)
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(capsys, "extract", "--manifest", small_corpus["manifest"], "--filterbank", bad, "--out", tmp_path / "feats")
+        assert rc == 2 and out == "" and loaded == []
+        assert err.splitlines() == [f"error: {bad}: {self.MESSAGE.format(n_fft)}"]
+        assert not (tmp_path / "feats").exists()
+
+    @pytest.mark.parametrize("scale", ["mel", "speech"])
+    def test_learn_scale_checks_derived_n_fft(self, capsys, monkeypatch, small_corpus, tmp_path, scale):
+        # 5 s frames at 16 kHz are 80,000 samples: n_fft would be 2**17.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"frame_ms": 5000.0}')
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", scale, "--config", cfg,
+            "--out", tmp_path / "s.json",
+        )
+        assert rc == 2 and out == "" and loaded == []
+        assert err.splitlines() == [f"error: frame_ms 5000.0 at 16000 Hz: {self.MESSAGE.format(2**17)}"]
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestStartup:
@@ -1077,6 +1234,38 @@ class TestRunConfig:
     def test_front_end_ranges_accept_their_bounds(self):
         cfg = RunConfig(frame_ms=25.0, hop_ms=25.0, preemph=0.0, n_ceps=1)
         assert (cfg.hop_ms, cfg.preemph, cfg.n_ceps) == (25.0, 0.0, 1)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1"])
+    def test_relevance_range_exits_2_before_ubm(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"relevance": {value}}}')
+        loaded = count_calls(monkeypatch, store, "load_model")
+        rc, out, err = run(
+            capsys, "enroll", "--manifest", small_corpus["enroll"], "--features", pipeline / "feats",
+            "--ubm", pipeline / "ubm.json", "--out", tmp_path / "models", "--config", path,
+        )
+        assert rc == 2
+        shown = {"NaN": "nan", "Infinity": "inf", "-1": "-1"}[value]
+        assert err.splitlines() == [f"error: relevance must be finite and >= 0, got {shown}"]
+        assert out == "" and loaded == [] and not (tmp_path / "models").exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_voicing_threshold_range_exits_2_before_audio(self, capsys, monkeypatch, small_corpus, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"voicing_threshold": {value}}}')
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech-pitch",
+            "--out", tmp_path / "s.json", "--config", path,
+        )
+        assert rc == 2
+        shown = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[value]
+        assert err.splitlines() == [f"error: voicing_threshold must be finite, got {shown}"]
+        assert out == "" and loaded == [] and not (tmp_path / "s.json").exists()
+
+    def test_relevance_and_voicing_threshold_accept_their_bounds(self):
+        cfg = RunConfig(relevance=0, voicing_threshold=-2.0)
+        assert (cfg.relevance, cfg.voicing_threshold) == (0, -2.0)
 
     JSON_VALUES = st.recursive(
         st.none() | st.booleans() | st.integers() | st.floats() | st.text(),

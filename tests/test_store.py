@@ -183,7 +183,7 @@ class TestModelDocuments:
         assert loaded.provenance["config"] == {"q": 20}
 
     def test_filterbank_round_trip(self, tmp_path):
-        layout = FilterbankLayout(np.array([0, 3, 6, 9, 12]), 16000, 24)
+        layout = FilterbankLayout(np.array([0, 4, 8, 12, 16]), 16000, 32)
         fb = triangular_responses(layout)
         save_model(filterbank_document(fb), tmp_path / "fb.json")
         back = filterbank_from_document(load_model(tmp_path / "fb.json", expect_kind="filterbank"))
@@ -214,6 +214,18 @@ class TestModelDocuments:
         path.write_text(text)
         with pytest.raises(ValueError, match="checksum mismatch"):
             load_model(path)
+
+    @pytest.mark.parametrize("n_fft", [0, 640, 2**17, 2**70, True, 512.0])
+    @pytest.mark.parametrize("decode", [scale_from_document, filterbank_from_document])
+    def test_n_fft_rule(self, decode, n_fft):
+        if decode is scale_from_document:
+            doc = scale_document(mel_warping_scale(8000.0), 16000, 512)
+        else:
+            doc = filterbank_document(triangular_responses(FilterbankLayout(np.arange(0, 257, 16), 16000, 512)))
+        doc.n_fft = n_fft
+        with pytest.raises(ValueError) as info:
+            decode(doc)
+        assert str(info.value) == f"n_fft must be a power of two <= 65536, got {n_fft!r}"
 
     def test_non_monotone_knots_rejected_on_load(self, tmp_path):
         doc = ModelDocument(
@@ -286,6 +298,30 @@ class TestFeatureFiles:
             read_features(path)
 
 
+class TestReadJson:
+    def test_value(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text('{"a": [1, 2.5, null]}')
+        assert store.read_json(path) == {"a": [1, 2.5, None]}
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'{"a": x}', "Expecting value: line 1 column 7 (char 6)"),
+            (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+            (b"[" * 200_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["syntax", "not-utf-8", "deep"],
+    )
+    def test_error_names_the_file(self, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            store.read_json(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+        assert "\n" not in str(info.value)
+
+
 class TestTrialsAndScores:
     def test_three_line_fixture(self, tmp_path):
         path = tmp_path / "trials.tsv"
@@ -323,6 +359,33 @@ class TestTrialsAndScores:
         with pytest.raises(ValueError, match=":1:"):
             read_scores(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\tx\ttarget\n\na\tx\n", "3: malformed {what} line"),
+            ("a\tx\tgenuine\n", "1: malformed {what} line"),
+            ("a\tx\ttarget\nb\tx\timpostor\na\tx\timpostor\n", "3: duplicate trial ('a', 'x')"),
+        ],
+        ids=["field-count", "label", "duplicate"],
+    )
+    @pytest.mark.parametrize("what", ["trial", "score"])
+    def test_trial_and_score_lines_checked_alike(self, tmp_path, text, message, what):
+        path = tmp_path / "lines.tsv"
+        if what == "score":
+            text = "".join(f"{line}\t1.0\n" if line else "\n" for line in text.split("\n")[:-1])
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            (read_trials if what == "trial" else read_scores)(path)
+        assert str(info.value) == f"{path}:{message.format(what=what)}"
+
+    @pytest.mark.parametrize("reader", [read_trials, read_scores])
+    def test_not_utf_8_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "lines.tsv"
+        path.write_bytes(b"a\tx\ttarget\t1.0\nb\xff\tx\timpostor\t0.0\n")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -347,6 +410,13 @@ class TestManifest:
         save_manifest(manifest, path)
         with pytest.raises(ValueError, match="duplicate"):
             load_manifest(path)
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_manifest(CorpusManifest([], 16000), path)
+        with pytest.raises(ValueError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}: no utterances"
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "m.json"
