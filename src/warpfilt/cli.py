@@ -8,6 +8,7 @@ import logging
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -72,6 +73,8 @@ class RunConfig(FeatureConfig):
             raise ValueError(f"relevance must be finite and >= 0, got {self.relevance}")
         if not -math.inf < self.voicing_threshold < math.inf:
             raise ValueError(f"voicing_threshold must be finite, got {self.voicing_threshold}")
+        if not 0.0 < self.pitch_f_min_hz < self.pitch_f_max_hz:
+            raise ValueError(f"pitch_f_min_hz must lie in (0, pitch_f_max_hz {self.pitch_f_max_hz}), got {self.pitch_f_min_hz}")
 
     def pitch_config(self) -> sad.PitchConfig:
         return sad.PitchConfig(self.pitch_f_min_hz, self.pitch_f_max_hz, self.voicing_threshold)
@@ -147,13 +150,36 @@ def _keep_freed_memory():
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
-def _map_ordered(fn, items, jobs: int):
-    """Yield fn(item) in item order as results come; jobs > 1 runs fn on a thread pool."""
+def _map_ordered(fn, items, jobs: int, name, keep_going: bool = False):
+    """Yield fn(item) in item order, on `jobs` threads: the one per-item runner.
+
+    A ValueError from fn(item) is prefixed with name(item) and raised, or with keep_going
+    yielded in place of that item's result. At most 2 * jobs items run ahead of the consumer.
+    """
+
+    def one(item):
+        try:
+            return fn(item)
+        except ValueError as err:
+            failure = ValueError(f"{name(item)}: {err}")
+            if keep_going:
+                return failure
+            raise failure from err
+
     if jobs <= 1:
-        yield from map(fn, items)
+        yield from map(one, items)
         return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(fn, items)
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    pending = deque()
+    try:
+        for item in items:
+            if len(pending) == 2 * jobs:
+                yield pending.popleft().result()
+            pending.append(pool.submit(one, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @contextmanager
@@ -179,27 +205,43 @@ def _refuse_existing(paths, overwrite: bool):
 
 
 def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: bool = False):
-    """Yield fn(segment) for each manifest entry, in entry order, on `jobs` threads.
-
-    Each WAV is loaded once and must have the manifest's sample rate. A ValueError
-    is prefixed with the utterance id; it is raised, or with keep_going yielded in
-    place of that utterance's result.
-    """
+    """_map_ordered of fn(segment) over manifest entries, named by utterance id; each WAV must have the manifest's rate."""
 
     def one(entry):
-        try:
-            seg = store.load_wav(entry.path)
-            if seg.sample_rate_hz != sample_rate_hz:
-                raise ValueError(f"sample rate {seg.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
-            seg.id = entry.utterance_id
-            return fn(seg)
-        except ValueError as err:
-            failure = ValueError(f"utterance {entry.utterance_id}: {err}")
-            if keep_going:
-                return failure
-            raise failure from err
+        seg = store.load_wav(entry.path)
+        if seg.sample_rate_hz != sample_rate_hz:
+            raise ValueError(f"sample rate {seg.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
+        seg.id = entry.utterance_id
+        return fn(seg)
 
-    return _map_ordered(one, entries, jobs)
+    return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}", keep_going)
+
+
+def _frame_length(cfg: RunConfig, sample_rate_hz: int) -> int:
+    """The frame length in samples at the manifest rate, checked once per command before any audio.
+
+    A frame, a hop and the longest pitch period must each span a finite number of
+    samples that rounds to at least one, and the n_fft that holds a frame must obey
+    the document rule; a ValueError names the field that does not.
+    """
+    sr = sample_rate_hz
+    spans = {
+        "frame_ms": ("a frame", sr * cfg.frame_ms / 1000.0),
+        "hop_ms": ("a hop", sr * cfg.hop_ms / 1000.0),
+        "pitch_f_min_hz": ("the longest pitch period", sr / cfg.pitch_f_min_hz),
+    }
+    for field, (what, samples) in spans.items():
+        if not 0.5 < samples < math.inf:
+            raise ValueError(
+                f"{field} {getattr(cfg, field)} at {sr} Hz: {what} spans {samples!r} samples; "
+                "need a finite count that rounds to at least 1"
+            )
+    frame_len = ms_to_samples(cfg.frame_ms, sr)
+    try:
+        store.check_n_fft(next_pow2(frame_len))
+    except ValueError as err:
+        raise ValueError(f"frame_ms {cfg.frame_ms} at {sr} Hz: {err}") from None
+    return frame_len
 
 
 def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig) -> int:
@@ -209,7 +251,7 @@ def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig) -> int:
     that n_fft must hold a frame; a ValueError names the first document that does not.
     """
     first, first_doc = docs[0]
-    frame_len = ms_to_samples(cfg.frame_ms, sample_rate_hz)
+    frame_len = _frame_length(cfg, sample_rate_hz)
     for path, doc in docs:
         if doc.sample_rate_hz != sample_rate_hz:
             raise ValueError(f"{path}: sample_rate_hz {doc.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
@@ -261,10 +303,7 @@ def cmd_learn_scale(args) -> int:
     _refuse_existing([out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
     sr = manifest.sample_rate_hz
-    try:
-        n_fft = store.check_n_fft(next_pow2(ms_to_samples(cfg.frame_ms, sr)))
-    except ValueError as err:
-        raise ValueError(f"frame_ms {cfg.frame_ms} at {sr} Hz: {err}") from None
+    n_fft = next_pow2(_frame_length(cfg, sr))
     kind = SCALE_FLAGS[cfg.scale]
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
@@ -434,16 +473,18 @@ def cmd_enroll(args) -> int:
     _refuse_existing([outdir / f"{speaker}.json" for speaker in speakers], args.overwrite)
     feature_files = _feature_files(args.features, [e.utterance_id for es in speakers.values() for e in es], "utterance")
     _, ubm = _load_document(args.ubm, "gmm")
+
+    def adapt(speaker):
+        frames = _speech_frames([feature_files[e.utterance_id] for e in speakers[speaker]])
+        return speaker, backend.map_adapt_means(ubm, frames, cfg.relevance), frames.shape[0]
+
+    # Every speaker adapts before any model is written; only the C x D models are kept.
+    adapted = list(_map_ordered(adapt, sorted(speakers), 1, "speaker {}".format))
     outdir.mkdir(parents=True, exist_ok=True)
     with _directory_lock(outdir):
-        for speaker, entries in sorted(speakers.items()):
-            frames = _speech_frames([feature_files[e.utterance_id] for e in entries])
-            adapted = backend.map_adapt_means(ubm, frames, cfg.relevance)
-            store.save_model(
-                store.gmm_document(adapted, 0, 0, _provenance(cfg, args.manifest)),
-                outdir / f"{speaker}.json",
-            )
-            print(f"{speaker}\t{frames.shape[0]}")
+        for speaker, model, n_frames in adapted:
+            store.save_model(store.gmm_document(model, 0, 0, _provenance(cfg, args.manifest)), outdir / f"{speaker}.json")
+            print(f"{speaker}\t{n_frames}")
     return EXIT_OK
 
 
@@ -468,14 +509,11 @@ def cmd_score(args) -> int:
             _, enroll_models[t.enroll_id] = _load_document(path, "gmm")
 
     def one(test_id):
-        try:
-            models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]
-            return backend.score_segment(models, ubm, store.read_features(feature_files[test_id]))
-        except ValueError as err:
-            raise ValueError(f"test segment {test_id}: {err}") from err
+        models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]
+        return backend.score_segment(models, ubm, store.read_features(feature_files[test_id]))
 
     scores = {}
-    for test_id, values in zip(by_test, _map_ordered(one, list(by_test), cfg.jobs)):
+    for test_id, values in zip(by_test, _map_ordered(one, by_test, cfg.jobs, "test segment {}".format)):
         scores.update(zip(by_test[test_id], values))
     scored = backend.TrialScoreSet(
         [dataclasses.replace(t, score=scores[i]) for i, t in enumerate(trials.trials)]

@@ -1,10 +1,14 @@
 import ctypes
 import dataclasses
 import json
+import logging
+import math
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 from synth import build_corpus
 
 import warpfilt
-from warpfilt import dsp, sad, store
+from warpfilt import cli, dsp, sad, store
 from warpfilt.cli import RunConfig, load_config, main
 from warpfilt.features import FeatureMatrix
 from warpfilt.filterbank import place_filter_edges, triangular_responses
@@ -561,6 +565,93 @@ class TestScoreJobs:
         listed = [line.split()[:2] for line in small_corpus["trials"].read_text().strip().splitlines()]
         written = [list(t.key) for t in read_scores(pipeline / "scores.tsv").trials]
         assert written == listed
+
+
+class TestPerItemRunner:
+    """cli._map_ordered runs every utterance, test-segment and speaker loop and names a failing item."""
+
+    def test_look_ahead_bounded_at_two_jobs(self):
+        lock = threading.Lock()
+        counts = {"started": 0, "consumed": 0, "most": 0}
+
+        def fn(item):
+            with lock:
+                counts["started"] += 1
+                counts["most"] = max(counts["most"], counts["started"] - counts["consumed"])
+            return item
+
+        results = []
+        for result in cli._map_ordered(fn, range(40), 2, str):
+            time.sleep(0.002)  # a slow consumer: the workers could run far ahead of it
+            results.append(result)
+            with lock:
+                counts["consumed"] += 1
+        assert results == list(range(40))
+        assert counts["started"] == 40 and counts["most"] <= 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keep_going_yields_named_failures_in_order(self, jobs):
+        def fn(item):
+            if item % 3 == 0:
+                raise ValueError("bad")
+            return item
+
+        results = list(cli._map_ordered(fn, range(7), jobs, lambda i: f"item {i}", keep_going=True))
+        assert [str(r) if isinstance(r, ValueError) else r for r in results] == [
+            "item 0: bad", 1, 2, "item 3: bad", 4, 5, "item 6: bad"
+        ]
+        with pytest.raises(ValueError, match=r"^item 0: bad$"):
+            list(cli._map_ordered(fn, range(7), jobs, lambda i: f"item {i}"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_utterance_named_once(self, capsys, small_corpus, tmp_path, jobs):
+        manifest = load_manifest(small_corpus["manifest"])
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not audio")
+        for entry in manifest.entries[2:4]:
+            entry.path = str(bad)
+        save_manifest(manifest, tmp_path / "m.json")
+        first = load_manifest(tmp_path / "m.json").entries[2]
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", tmp_path / "m.json", "--scale", "speech", "--jobs", jobs,
+            "--out", tmp_path / "s.json",
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: utterance {first.utterance_id}: {first.path}: not a RIFF/WAVE file"]
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_test_segment_named_once(self, capsys, small_corpus, pipeline, tmp_path, jobs):
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        test_ids = list(dict.fromkeys(line.split("\t")[1] for line in small_corpus["trials"].read_text().splitlines()))
+        for test_id in test_ids[:2]:
+            fm = read_features(feats / f"{test_id}.wflt")
+            write_features(FeatureMatrix(fm.vectors, np.zeros(fm.n_frames, dtype=bool)), feats / f"{test_id}.wflt")
+        rc, out, err = run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", pipeline / "models",
+            "--ubm", pipeline / "ubm.json", "--features", feats, "--jobs", jobs, "--out", tmp_path / "scores.tsv",
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: test segment {test_ids[0]}: no speech frames to score"]
+        assert not (tmp_path / "scores.tsv").exists()
+
+    def test_speaker_named_once_and_no_model_written(self, capsys, small_corpus, pipeline, tmp_path):
+        # The last speakers in order fail, so a runner that wrote as it went would leave spk0's model.
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        for entry in load_manifest(small_corpus["enroll"]).entries:
+            if entry.speaker_id in ("spk1", "spk2"):
+                fm = read_features(feats / f"{entry.utterance_id}.wflt")
+                write_features(FeatureMatrix(fm.vectors, np.zeros(fm.n_frames, dtype=bool)), feats / f"{entry.utterance_id}.wflt")
+        models = tmp_path / "models"
+        rc, out, err = run(
+            capsys, "enroll", "--manifest", small_corpus["enroll"], "--features", feats, "--ubm", pipeline / "ubm.json",
+            "--out", models,
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: speaker spk1: need at least one adaptation frame"]
+        assert not models.exists()
 
 
 class TestExitCodes:
@@ -1204,6 +1295,8 @@ class TestRunConfig:
         assert rc == 2
         assert err.splitlines() == [f"error: {path}: config must be a JSON object"]
 
+    SPAN = "{} spans {} samples; need a finite count that rounds to at least 1"
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -1217,6 +1310,9 @@ class TestRunConfig:
             ('{"preemph": -0.1}', "preemph must lie in [0, 1), got -0.1"),
             ('{"n_ceps": -3}', "n_ceps must be >= 1, got -3"),
             ('{"n_ceps": 0}', "n_ceps must be >= 1, got 0"),
+            ('{"frame_ms": 1e305}', "frame_ms 1e+305 at 16000 Hz: " + SPAN.format("a frame", "inf")),
+            ('{"hop_ms": 1e-300}', "hop_ms 1e-300 at 16000 Hz: " + SPAN.format("a hop", "1.6e-299")),
+            ('{"pitch_f_min_hz": 500}', "pitch_f_min_hz must lie in (0, pitch_f_max_hz 400.0), got 500"),
         ],
     )
     def test_front_end_range_exits_2_before_audio(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, text, message):
@@ -1230,6 +1326,48 @@ class TestRunConfig:
         assert rc == 2
         assert err.splitlines() == [f"error: {message}"]
         assert out == "" and loaded == [] and not (tmp_path / "feats").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"frame_ms": 1e305}', "frame_ms 1e+305 at 16000 Hz: " + SPAN.format("a frame", "inf")),
+            ('{"frame_ms": 0.01, "hop_ms": 0.01}', "frame_ms 0.01 at 16000 Hz: " + SPAN.format("a frame", "0.16")),
+            ('{"pitch_f_min_hz": 1e-320}', "pitch_f_min_hz 1e-320 at 16000 Hz: " + SPAN.format("the longest pitch period", "inf")),
+            ('{"pitch_f_min_hz": 500}', "pitch_f_min_hz must lie in (0, pitch_f_max_hz 400.0), got 500"),
+            ('{"pitch_f_max_hz": NaN}', "pitch_f_min_hz must lie in (0, pitch_f_max_hz nan), got 50.0"),
+        ],
+    )
+    def test_sample_counts_and_pitch_band_exit_2_before_audio(self, capsys, monkeypatch, small_corpus, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech-pitch",
+            "--out", tmp_path / "s.json", "--config", path,
+        )
+        assert rc == 2
+        assert err.splitlines() == [f"error: {message}"]
+        assert out == "" and loaded == [] and not (tmp_path / "s.json").exists()
+
+    EXTREME_FLOATS = st.none() | st.sampled_from([5e-324, 1e-320, 1e-300, 1e-3, 1e300, 1e305, math.inf, math.nan]) | st.floats()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(["learn-scale", "extract"]),
+        values=st.fixed_dictionaries(dict.fromkeys(("frame_ms", "hop_ms", "pitch_f_min_hz", "pitch_f_max_hz"), EXTREME_FLOATS)),
+    )
+    def test_extreme_sample_count_and_pitch_settings(self, capsys, caplog, small_corpus, pipeline, tmp_path, command, values):
+        # A value of None keeps the field's default. Under pytest, logged errors go to caplog, not stderr.
+        caplog.clear()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({k: v for k, v in values.items() if v is not None}))
+        rest = {
+            "learn-scale": ["--scale", "speech-pitch", "--out", tmp_path / "s.json"],
+            "extract": ["--filterbank", pipeline / "fb.json", "--out", tmp_path / "feats"],
+        }[command]
+        rc, _, err = run(capsys, command, "--manifest", small_corpus["manifest"], *rest, "--config", path, "--overwrite")
+        assert rc in (0, 2)
+        assert len(err.splitlines()) + sum(r.levelno >= logging.WARNING for r in caplog.records) <= 1
 
     def test_front_end_ranges_accept_their_bounds(self):
         cfg = RunConfig(frame_ms=25.0, hop_ms=25.0, preemph=0.0, n_ceps=1)
