@@ -83,9 +83,6 @@ def f_ratio_report(variants: Mapping[str, GroupedEnergies]) -> FRatioReport:
     if len(widths) != 1:
         raise ValueError("variants disagree on filter count")
     ratios = np.stack(columns, axis=1)
-    winners: list[str | None] = []
-    for j in range(ratios.shape[0]):
-        row = ratios[j]
-        best = row.max()
-        winners.append(names[int(row.argmax())] if (row == best).sum() == 1 else None)
+    unique = (ratios == ratios.max(axis=1, keepdims=True)).sum(axis=1) == 1
+    winners = [names[v] if one else None for v, one in zip(ratios.argmax(axis=1), unique)]
     return FRatioReport(names, ratios, np.asarray(averages), winners)

@@ -20,7 +20,7 @@ from . import analysis, backend, filterbank, sad, scale, store
 from .dsp import ms_to_samples, next_pow2
 from .features import FeatureConfig, extract_features, filterbank_log_energies, utterance_spectra
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("warpfilt.cli")  # not __name__, which is "__main__" under python -m
 
 SCALE_FLAGS = {"mel": "mel", "speech": "speech-based", "speech-pitch": "speech-based-pitch"}
 SHAPE_FLAGS = {"tri": "triangular", "pca": "pca", "wpca": "windowed-pca", "wpca-norm": "windowed-pca-normalized"}

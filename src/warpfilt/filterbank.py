@@ -101,21 +101,12 @@ def place_filter_edges(
     return FilterbankLayout(bins, sample_rate_hz, n_fft)
 
 
-def _triangle(layout: FilterbankLayout, j: int) -> np.ndarray:
-    b = layout.boundary_bins
-    lo, mid, hi = int(b[j - 1]), int(b[j]), int(b[j + 1])
-    resp = np.zeros(layout.n_bins)
-    rise = np.arange(lo, mid + 1)
-    resp[rise] = (rise - lo) / (mid - lo)
-    fall = np.arange(mid, hi + 1)
-    resp[fall] = (hi - fall) / (hi - mid)
-    resp[mid] = 1.0
-    return resp
-
-
 def triangular_responses(layout: FilterbankLayout) -> Filterbank:
     """Unit-peak triangles rising over [b_{j-1}, b_j] and falling over [b_j, b_{j+1}]."""
-    responses = np.stack([_triangle(layout, j) for j in range(1, layout.n_filters + 1)])
+    b = layout.boundary_bins
+    lo, mid, hi = b[:-2, None], b[1:-1, None], b[2:, None]
+    k = np.arange(layout.n_bins)
+    responses = np.maximum(np.minimum((k - lo) / (mid - lo), (hi - k) / (hi - mid)), 0.0)
     return Filterbank(layout, responses, "triangular")
 
 
@@ -208,7 +199,7 @@ def learn_pca_filterbank(log_spectra, layout: FilterbankLayout, kind: str) -> Fi
             responses[j - 1, lo : hi + 1] = pca_first_basis(covariance)
         except ValueError:
             logger.warning("degenerate subband for filter %d; using triangular shape", j)
-            responses[j - 1] = _triangle(layout, j)
+            responses[j - 1] = triangular_responses(layout).responses[j - 1]
     if kind == "windowed-pca-normalized":
         responses = responses / responses.max(axis=1, keepdims=True)
     return Filterbank(layout, responses, kind)

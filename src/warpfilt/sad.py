@@ -5,6 +5,8 @@ import numpy as np
 
 ENERGY_EPS = 1e-12
 VAR_FLOOR = 1e-10
+EM_MAX_ITER = 50
+EM_TOL = 1e-6
 
 # Lags with fewer overlapping samples than this are excluded from the pitch
 # search: the normalized autocorrelation degenerates to +/-1 as the overlap
@@ -37,18 +39,13 @@ def frame_log_energy(frames: np.ndarray) -> np.ndarray:
     return np.log(np.sum(frames * frames, axis=1) + ENERGY_EPS)
 
 
-def _gaussian_log_pdf(x: np.ndarray, mean: float, var: float) -> np.ndarray:
-    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
-
-
-def fit_two_gaussians(
-    energies: np.ndarray, max_iter: int = 50, tol: float = 1e-6
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """EM fit of a 2-component 1-D GMM.
+def fit_two_gaussians(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """EM fit of a 2-component 1-D GMM, both components at once as the columns of (N, 2) arrays.
 
     Means start at the 25th/75th percentiles with a nearest-mean assignment;
-    variances are clamped at 1e-10. Returns (weights, means, variances,
-    per-iteration mean log-likelihood).
+    variances are clamped at VAR_FLOOR. EM stops after EM_MAX_ITER iterations or
+    once the mean log-likelihood changes by less than EM_TOL, relatively.
+    Returns (weights, means, variances, per-iteration mean log-likelihood).
     """
     e = np.asarray(energies, dtype=np.float64)
     mu = np.percentile(e, [25.0, 75.0])
@@ -68,10 +65,8 @@ def fit_two_gaussians(
 
     history = []
     prev_ll = -np.inf
-    for _ in range(max_iter):
-        log_joint = np.log(w)[None, :] + np.stack(
-            [_gaussian_log_pdf(e, mu[c], var[c]) for c in range(2)], axis=1
-        )
+    for _ in range(EM_MAX_ITER):
+        log_joint = np.log(w) - 0.5 * (np.log(2.0 * np.pi * var) + (e[:, None] - mu) ** 2 / var)
         log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
         ll = float(log_norm.mean())
         history.append(ll)
@@ -81,9 +76,10 @@ def fit_two_gaussians(
         w /= w.sum()
         safe_nk = np.maximum(nk, 1e-12)
         mu = gamma.T @ e / safe_nk
-        var = np.array([(gamma[:, c] * (e - mu[c]) ** 2).sum() / safe_nk[c] for c in range(2)])
-        var = np.maximum(var, VAR_FLOOR)
-        if abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < tol:
+        # One contiguous row per component keeps numpy's pairwise sum of a 1-D array.
+        scatter = np.ascontiguousarray((gamma * (e[:, None] - mu) ** 2).T).sum(axis=1)
+        var = np.maximum(scatter / safe_nk, VAR_FLOOR)
+        if abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < EM_TOL:
             break
         prev_ll = ll
     return w, mu, var, np.asarray(history)

@@ -8,6 +8,7 @@ import numpy as np
 from .dsp import PowerSpectrogram
 
 AREA_SHIFT = 1e-6
+MEL_KNOTS = 512
 SCALE_KINDS = ("mel", "speech-based", "speech-based-pitch")
 
 
@@ -221,11 +222,11 @@ def mel(f_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(f_hz, dtype=np.float64) / 700.0)
 
 
-def mel_warping_scale(nyquist_hz: float, n_knots: int = 512) -> WarpingScale:
-    """Closed-form mel scale normalized to [0, 1] over [0, nyquist]."""
+def mel_warping_scale(nyquist_hz: float) -> WarpingScale:
+    """Closed-form mel scale normalized to [0, 1] over [0, nyquist], sampled at MEL_KNOTS knots."""
     if nyquist_hz <= 0.0:
         raise ValueError("nyquist_hz must be positive")
-    f = np.linspace(0.0, nyquist_hz, n_knots)
+    f = np.linspace(0.0, nyquist_hz, MEL_KNOTS)
     warped = mel(f) / mel(nyquist_hz)
     warped[0] = 0.0
     warped[-1] = 1.0

@@ -48,6 +48,12 @@ def _atomic_write(path: str | Path, data: bytes):
         raise
 
 
+def _brief(value) -> str:
+    """repr(value), or its first 40 characters and its length when it is longer, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _read_text(path: str | Path) -> str:
     """The UTF-8 text of a file; a ValueError names the file when it is no UTF-8."""
     try:
@@ -71,7 +77,8 @@ def load_wav(path: str | Path) -> AudioSegment:
     """Read a mono RIFF/WAVE file (16-bit PCM or 32-bit IEEE float) scaled to [-1, 1].
 
     A WAVE_FORMAT_EXTENSIBLE header is read by the format tag that starts its
-    sub-format GUID. Every error names the file.
+    sub-format GUID. Every error names the file, and a chunk id is echoed as a
+    Python literal. Float samples must be finite.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -84,7 +91,7 @@ def load_wav(path: str | Path) -> AudioSegment:
         (chunk_size,) = struct.unpack("<I", raw[pos + 4 : pos + 8])
         body = raw[pos + 8 : pos + 8 + chunk_size]
         if chunk_id != b"data" and len(body) < chunk_size:
-            raise ValueError(f"{path}: truncated {chunk_id.decode('ascii', 'replace')} chunk")
+            raise ValueError(f"{path}: truncated chunk {chunk_id.decode('latin-1')!r} at byte {pos}")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise ValueError(f"{path}: malformed fmt chunk")
@@ -118,6 +125,8 @@ def load_wav(path: str | Path) -> AudioSegment:
     samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
     if audio_format == WAVE_FORMAT_PCM:
         samples /= 32768.0
+    elif not np.isfinite(samples).all():
+        raise ValueError(f"{path}: non-finite sample at index {np.flatnonzero(~np.isfinite(samples))[0]}")
     return AudioSegment(samples, sample_rate, Path(path).stem)
 
 
@@ -183,9 +192,9 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
     if not isinstance(obj, dict) or set(obj) != DOCUMENT_KEYS:
         raise ValueError(f"{path}: unexpected document keys")
     if obj["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema version {obj['schema_version']}")
+        raise ValueError(f"{path}: unsupported schema version {_brief(obj['schema_version'])}")
     if obj["kind"] not in MODEL_KINDS:
-        raise ValueError(f"{path}: unknown model kind {obj['kind']!r}")
+        raise ValueError(f"{path}: unknown model kind {_brief(obj['kind'])}")
     for part in ("payload", "provenance"):
         if not isinstance(obj[part], dict):
             raise ValueError(f"{path}: {part} must be an object")
@@ -208,14 +217,14 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
 def _header_int(doc: ModelDocument, name: str, minimum: int) -> int:
     value = getattr(doc, name)
     if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {_brief(value)}")
     return value
 
 
 def check_n_fft(n_fft) -> int:
     """The n_fft rule of scale and filterbank documents: a power of two no larger than MAX_N_FFT."""
     if type(n_fft) is not int or not 0 < n_fft <= MAX_N_FFT or n_fft & (n_fft - 1):
-        raise ValueError(f"n_fft must be a power of two <= {MAX_N_FFT}, got {n_fft!r}")
+        raise ValueError(f"n_fft must be a power of two <= {MAX_N_FFT}, got {_brief(n_fft)}")
     return n_fft
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpfilt import analysis
 from warpfilt.analysis import f_ratio, f_ratio_report
 
 
@@ -104,3 +105,36 @@ class TestFRatioReport:
         rows = [line.split("\t") for line in tsv.splitlines()[1:]]
         cells = np.array([[float(cell) for cell in row[1:3]] for row in rows])
         assert np.array_equal(cells, np.vstack([report.ratios, report.averages]))
+
+
+def reference_winners(ratios, names):
+    """The former winner loop, one filter at a time."""
+    winners = []
+    for j in range(ratios.shape[0]):
+        row = ratios[j]
+        best = row.max()
+        winners.append(names[int(row.argmax())] if (row == best).sum() == 1 else None)
+    return winners
+
+
+class TestWinnersReference:
+    """The batched winners equal the former per-filter loop, ties and NaN among them."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matrices_with_ties(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n_filters, n_variants = int(rng.integers(1, 40)), int(rng.integers(2, 6))
+        # Few distinct values, so many rows tie for their maximum.
+        ratios = rng.integers(0, 3, size=(n_filters, n_variants)).astype(np.float64)
+        if seed % 4 == 1:
+            ratios[rng.random(ratios.shape) < 0.1] = np.nan
+        elif seed % 4 == 2:
+            ratios[rng.random(ratios.shape) < 0.2] = np.inf
+        ratios[0] = ratios[0].max()
+        names = [f"v{i}" for i in range(n_variants)]
+        columns = dict(zip(names, ratios.T))
+        monkeypatch.setattr(analysis, "f_ratio", lambda name: (columns[name], 0.0))
+        report = f_ratio_report({name: name for name in names})
+        assert np.array_equal(report.ratios, ratios, equal_nan=True)
+        assert report.winners == reference_winners(ratios, names)
+        assert report.winners[0] is None

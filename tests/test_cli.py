@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -20,17 +21,20 @@ from synth import build_corpus
 import warpfilt
 from warpfilt import cli, dsp, sad, store
 from warpfilt.cli import RunConfig, load_config, main
+from warpfilt.dsp import AudioSegment
 from warpfilt.features import FeatureMatrix
 from warpfilt.filterbank import place_filter_edges, triangular_responses
 from warpfilt.scale import mel_warping_scale
 from warpfilt.store import (
     CorpusManifest,
+    ManifestEntry,
     load_manifest,
     load_model,
     read_features,
     read_scores,
     save_manifest,
     write_features,
+    write_wav,
 )
 
 
@@ -1088,6 +1092,99 @@ class TestNFftRule:
         assert rc == 2 and out == "" and loaded == []
         assert err.splitlines() == [f"error: frame_ms 5000.0 at 16000 Hz: {self.MESSAGE.format(2**17)}"]
         assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("command", ["learn-scale", "extract"])
+    def test_huge_frame_length_one_bounded_line(self, capsys, small_corpus, pipeline, tmp_path, command):
+        # 1e300 ms frames are 1.6e301 samples: n_fft would be 2**1001, an integer of 302 digits.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"frame_ms": 1e300}')
+        argv = {
+            "learn-scale": ["learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech"],
+            "extract": ["extract", "--manifest", small_corpus["manifest"], "--filterbank", pipeline / "fb.json"],
+        }[command]
+        rc, out, err = run(capsys, *argv, "--config", cfg, "--out", tmp_path / "out")
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert lines == [f"error: frame_ms 1e+300 at 16000 Hz: {self.MESSAGE.format(str(2**1001)[:40])}... (302 characters)"]
+        assert len(lines[0]) <= 200
+
+
+def one_bad_utterance(root, small_corpus, name, data):
+    """A manifest of three good utterances of the small corpus and a WAV file holding `data`, third."""
+    good = load_manifest(small_corpus["manifest"]).entries[:3]
+    bad = Path(root) / f"{name}.wav"
+    bad.write_bytes(data)
+    manifest = Path(root) / "bad_corpus.json"
+    save_manifest(CorpusManifest(good[:2] + [ManifestEntry(name, bad, "spk9")] + good[2:], 16000), manifest)
+    return manifest, bad
+
+
+def float_wav_bytes(samples, tmp_path):
+    path = tmp_path / "float.wav"
+    write_wav(path, AudioSegment(samples, 16000, "f"), fmt="float32")
+    return path.read_bytes()
+
+
+class TestWavInputs:
+    """A bad WAV ends a command with exit 2 and one line that names the file, in a shell run."""
+
+    @pytest.mark.parametrize(
+        "command, value",
+        [
+            (["learn-scale", "--scale", "speech"], np.nan),
+            (["learn-scale", "--scale", "speech-pitch"], np.inf),
+            (["learn-filterbank", "--scale-doc", "ART/scale.json", "--shape", "wpca-norm"], np.nan),
+        ],
+        ids=["speech", "speech-pitch", "wpca-norm"],
+    )
+    def test_non_finite_float_sample(self, small_corpus, pipeline, tmp_path, command, value):
+        samples = 0.1 * np.sin(np.arange(16000) / 5.0)
+        samples[4321:4331] = value
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "u_nan", float_wav_bytes(samples, tmp_path))
+        argv = [pipeline / a[4:] if a.startswith("ART/") else a for a in command]
+        proc = python_child("-m", "warpfilt.cli", *argv, "--manifest", manifest, "--out", tmp_path / "out.json")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: utterance u_nan: {bad}: non-finite sample at index 4321"]
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("kind", ["not-riff", "non-finite"])
+    def test_extract_fails_the_utterance_under_python_m(self, small_corpus, pipeline, tmp_path, kind):
+        # Logged under the name warpfilt.cli, not __main__.
+        samples = 0.1 * np.sin(np.arange(16000) / 5.0)
+        samples[100] = -np.inf
+        data, message = {
+            "not-riff": (b"not audio", "not a RIFF/WAVE file"),
+            "non-finite": (float_wav_bytes(samples, tmp_path), "non-finite sample at index 100"),
+        }[kind]
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "u_bad", data)
+        proc = python_child(
+            "-m", "warpfilt.cli", "extract", "--manifest", manifest, "--filterbank", pipeline / "fb.json",
+            "--out", tmp_path / "feats",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"ERROR warpfilt.cli: utterance u_bad: {bad}: {message}",
+            "ERROR warpfilt.cli: 1 of 4 utterances failed",
+        ]
+        assert len(proc.stdout.splitlines()) == 3
+
+    def test_chunk_id_echoed_escaped(self, capsys, small_corpus, tmp_path):
+        wav = load_manifest(small_corpus["manifest"]).entries[0].path.read_bytes()
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "u_chunk", wav + b"x\nyz" + struct.pack("<I", 1000))
+        rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: utterance u_chunk: {bad}: truncated chunk 'x\\nyz' at byte {len(wav)}"]
+
+    def test_zero_size_data_chunk_one_printable_line(self, capsys, small_corpus, tmp_path):
+        wav = load_manifest(small_corpus["manifest"]).entries[0].path.read_bytes()
+        assert wav[36:40] == b"data"
+        # The samples that follow a zero-size data chunk are read as chunk headers.
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "u_zero", wav[:40] + struct.pack("<I", 0) + wav[44:])
+        rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
+        assert rc == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: utterance u_zero: {bad}: ")
+        assert lines[0].isprintable()
 
 
 class TestStartup:

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from synth import synth_utterance
 
 from warpfilt import filterbank
-from warpfilt.dsp import hamming_window
+from warpfilt.dsp import AudioSegment, hamming_window
+from warpfilt.features import FeatureConfig, utterance_spectra
 from warpfilt.filterbank import (
     Filterbank,
     FilterbankLayout,
@@ -15,7 +17,13 @@ from warpfilt.filterbank import (
     subband_covariance,
     triangular_responses,
 )
-from warpfilt.scale import WarpingScale, mel_warping_scale
+from warpfilt.scale import (
+    WarpingScale,
+    build_warping_scale,
+    compute_ltas,
+    equal_area_partition,
+    mel_warping_scale,
+)
 
 
 def two_pass_covariance(log_specs, band, taper=None):
@@ -100,6 +108,43 @@ class TestTriangularResponses:
         fb = triangular_responses(layout)
         assert np.array_equal(fb.responses[0, 8:], np.zeros(5))
         assert np.array_equal(fb.responses[1, :4], np.zeros(4))
+
+
+def reference_triangles(layout):
+    """The former triangles, one filter at a time."""
+    b = layout.boundary_bins
+    rows = []
+    for j in range(1, layout.n_filters + 1):
+        lo, mid, hi = int(b[j - 1]), int(b[j]), int(b[j + 1])
+        resp = np.zeros(layout.n_bins)
+        rise = np.arange(lo, mid + 1)
+        resp[rise] = (rise - lo) / (mid - lo)
+        fall = np.arange(mid, hi + 1)
+        resp[fall] = (hi - fall) / (hi - mid)
+        resp[mid] = 1.0
+        rows.append(resp)
+    return np.stack(rows)
+
+
+def learned_speech_scale():
+    """A speech-based scale learned at 20 bands from the LTAS of one synthetic utterance."""
+    spec, mask = utterance_spectra(AudioSegment(synth_utterance(2, 0, 16000, 2.0), 16000, "u"), FeatureConfig(), 512)
+    ltas = compute_ltas(spec, mask)
+    return build_warping_scale(equal_area_partition(ltas, 20), ltas.bin_hz, 8000.0)
+
+
+class TestTriangularReference:
+    """The broadcast triangles give the former per-filter triangles bit for bit."""
+
+    @pytest.mark.parametrize("n_fft", [256, 512])
+    @pytest.mark.parametrize("scale", ["mel", "speech"])
+    def test_every_filter_count(self, n_fft, scale):
+        warping = mel_warping_scale(8000.0) if scale == "mel" else learned_speech_scale()
+        for q in range(1, n_fft // 2):
+            layout = place_filter_edges(warping, q, n_fft, 16000)
+            got = triangular_responses(layout).responses
+            want = reference_triangles(layout)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), q
 
 
 class TestSubbandCovariance:

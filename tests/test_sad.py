@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from synth import synth_utterance
 
+from warpfilt.dsp import AudioSegment, frame_signal, pre_emphasize
+from warpfilt.features import FeatureConfig
 from warpfilt.sad import (
     ENERGY_EPS,
     MIN_OVERLAP,
+    VAR_FLOOR,
     PitchConfig,
     bi_gaussian_sad,
     fit_two_gaussians,
@@ -173,6 +179,98 @@ class TestBiGaussianSad:
         e = np.concatenate([rng.normal(-12, 2.0, 80), rng.normal(-3, 1.0, 120)])
         _, _, _, history = fit_two_gaussians(e)
         assert np.all(np.diff(history) >= -1e-8)
+
+
+def reference_gaussian_log_pdf(x, mean, var):
+    return -0.5 * (np.log(2.0 * np.pi * var) + (x - mean) ** 2 / var)
+
+
+def reference_fit_two_gaussians(energies, max_iter=50, tol=1e-6):
+    """The former EM fit, one component at a time through a per-component log-density."""
+    e = np.asarray(energies, dtype=np.float64)
+    mu = np.percentile(e, [25.0, 75.0])
+    assign = np.abs(e[:, None] - mu[None, :]).argmin(axis=1)
+    w = np.zeros(2)
+    var = np.zeros(2)
+    global_var = max(e.var(), VAR_FLOOR)
+    for c in range(2):
+        members = e[assign == c]
+        w[c] = max(members.size, 1) / e.size
+        var[c] = members.var() if members.size > 1 else global_var
+        if members.size > 0:
+            mu[c] = members.mean()
+    w = np.clip(w, 1e-6, None)
+    w /= w.sum()
+    var = np.maximum(var, VAR_FLOOR)
+    history = []
+    prev_ll = -np.inf
+    for _ in range(max_iter):
+        log_joint = np.log(w)[None, :] + np.stack(
+            [reference_gaussian_log_pdf(e, mu[c], var[c]) for c in range(2)], axis=1
+        )
+        log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+        ll = float(log_norm.mean())
+        history.append(ll)
+        gamma = np.exp(log_joint - log_norm[:, None])
+        nk = gamma.sum(axis=0)
+        w = np.clip(nk / e.size, 1e-6, None)
+        w /= w.sum()
+        safe_nk = np.maximum(nk, 1e-12)
+        mu = gamma.T @ e / safe_nk
+        var = np.array([(gamma[:, c] * (e - mu[c]) ** 2).sum() / safe_nk[c] for c in range(2)])
+        var = np.maximum(var, VAR_FLOOR)
+        if abs(ll - prev_ll) / max(1.0, abs(prev_ll)) < tol:
+            break
+        prev_ll = ll
+    return w, mu, var, np.asarray(history)
+
+
+def assert_fit_matches_reference(e):
+    got = fit_two_gaussians(e)
+    want = reference_fit_two_gaussians(e)
+    for name, a, b in zip(("weights", "means", "variances", "history"), got, want):
+        assert np.array_equal(a, b), name
+
+
+@st.composite
+def energy_vectors(draw):
+    """10-2000 frame log-energies: constant, one frame off a constant, two clusters, or one Gaussian."""
+    n = draw(st.integers(10, 2000))
+    scale = 10.0 ** draw(st.floats(-6.0, 3.0))
+    offset = draw(st.floats(-30.0, 5.0))
+    kind = draw(st.sampled_from(["constant", "one-member", "two-cluster", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = np.full(n, offset)
+    if kind == "one-member":
+        e[rng.integers(n)] += scale
+    elif kind == "two-cluster":
+        split = int(rng.integers(1, n))
+        e += scale * np.concatenate([rng.normal(0.0, 0.1, split), rng.normal(5.0, 1.0, n - split)])
+        rng.shuffle(e)
+    elif kind == "gaussian":
+        e += scale * rng.normal(size=n)
+    return e
+
+
+class TestFitTwoGaussiansReference:
+    """The batched EM gives the former one-component-at-a-time EM bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(energy_vectors())
+    def test_any_energy_vector(self, e):
+        assert_fit_matches_reference(e)
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_synth_corpus_energies(self, seed):
+        # Every speaker of the 8-speaker corpus of this seed, every fifth utterance,
+        # framed as the front end frames the 16-bit WAVs it reads.
+        cfg = FeatureConfig()
+        for speaker in range(8):
+            for utt in range(0, 20, 5):
+                samples = synth_utterance(speaker, utt, 16000, 2.0, seed)
+                samples = np.rint(np.clip(samples, -1.0, 32767.0 / 32768.0) * 32768.0) / 32768.0
+                seg = pre_emphasize(AudioSegment(samples, 16000, "u"), cfg.preemph)
+                assert_fit_matches_reference(frame_log_energy(frame_signal(seg, cfg.frame_ms, cfg.hop_ms)))
 
 
 def one_frame_voiced(frame, sr):

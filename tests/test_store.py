@@ -139,6 +139,14 @@ class TestWav:
         path.write_bytes(riff_bytes(extensible_fmt(3, 32), samples.tobytes()))
         assert np.array_equal(load_wav(path).samples, samples.astype(np.float64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample(self, tmp_path, bad):
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff_bytes(extensible_fmt(3, 32), np.array([0.25, -0.5, bad, bad], "<f4").tobytes()))
+        with pytest.raises(ValueError) as info:
+            load_wav(path)
+        assert str(info.value) == f"{path}: non-finite sample at index 2"
+
     @pytest.mark.parametrize("sub_format, bits, size", [(1, 24, 40), (3, 16, 40), (2, 16, 40), (1, 16, 18)])
     def test_extensible_unsupported(self, tmp_path, sub_format, bits, size):
         path = tmp_path / "x.wav"
@@ -214,6 +222,14 @@ class TestModelDocuments:
         path.write_text(text)
         with pytest.raises(ValueError, match="checksum mismatch"):
             load_model(path)
+
+    @pytest.mark.parametrize("n_fft", [2**1001, "x" * 1000, "a\nb"])
+    def test_n_fft_echo_is_one_short_line(self, n_fft):
+        with pytest.raises(ValueError) as info:
+            store.check_n_fft(n_fft)
+        message = str(info.value)
+        assert message.startswith(f"n_fft must be a power of two <= 65536, got {repr(n_fft)[:40]}")
+        assert "\n" not in message and len(message) <= 120
 
     @pytest.mark.parametrize("n_fft", [0, 640, 2**17, 2**70, True, 512.0])
     @pytest.mark.parametrize("decode", [scale_from_document, filterbank_from_document])
