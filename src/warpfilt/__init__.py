@@ -53,7 +53,7 @@ from .filterbank import (
     subband_covariance,
     triangular_responses,
 )
-from .sad import PitchConfig, PitchTrack, bi_gaussian_sad, frame_log_energy, track_pitch, voiced_mask
+from .sad import PitchTrack, bi_gaussian_sad, frame_log_energy, track_pitch, voiced_mask
 from .scale import (
     BandPartition,
     Ltas,

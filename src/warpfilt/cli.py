@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, backend, filterbank, sad, scale, store
-from .dsp import ms_to_samples, next_pow2
-from .features import FeatureConfig, extract_features, filterbank_log_energies, utterance_spectra
+from .dsp import FeatureConfig, _brief, ms_to_samples, next_pow2
+from .features import extract_features, filterbank_log_energies, utterance_spectra
 
 logger = logging.getLogger("warpfilt.cli")  # not __name__, which is "__main__" under python -m
 
@@ -44,9 +44,6 @@ class RunConfig(FeatureConfig):
     n_filters: int = 20
     scale: str = "mel"
     shape: str = "tri"
-    pitch_f_min_hz: float = 50.0
-    pitch_f_max_hz: float = 400.0
-    voicing_threshold: float = 0.5
     ubm_components: int = 64
     em_iters: int = 10
     relevance: float = 14.0
@@ -58,29 +55,21 @@ class RunConfig(FeatureConfig):
     def __post_init__(self):
         super().__post_init__()
         if self.scale not in SCALE_FLAGS:
-            raise ValueError(f"unknown scale {self.scale!r}")
+            raise ValueError(f"unknown scale {_brief(self.scale)}")
         if self.shape not in SHAPE_FLAGS:
-            raise ValueError(f"unknown shape {self.shape!r}")
+            raise ValueError(f"unknown shape {_brief(self.shape)}")
         if self.cost_preset not in backend.COST_PRESETS:
-            raise ValueError(f"unknown cost preset {self.cost_preset!r}")
+            raise ValueError(f"unknown cost preset {_brief(self.cost_preset)}")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must lie in (0, 1]")
         for name in ("jobs", "ubm_components", "em_iters"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {_brief(getattr(self, name))}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {_brief(self.seed)}")
         # Comparisons written so that a NaN fails them.
         if not 0.0 <= self.relevance < math.inf:
-            raise ValueError(f"relevance must be finite and >= 0, got {self.relevance}")
-        if not -math.inf < self.voicing_threshold < math.inf:
-            raise ValueError(f"voicing_threshold must be finite, got {self.voicing_threshold}")
-        if not 0.0 < self.pitch_f_min_hz < self.pitch_f_max_hz:
-            raise ValueError(f"pitch_f_min_hz must lie in (0, pitch_f_max_hz {self.pitch_f_max_hz}), got {self.pitch_f_min_hz}")
-
-    def pitch_config(self) -> sad.PitchConfig:
-        return sad.PitchConfig(self.pitch_f_min_hz, self.pitch_f_max_hz, self.voicing_threshold)
-
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
+            raise ValueError(f"relevance must be finite and >= 0, got {_brief(self.relevance)}")
 
 
 def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
@@ -93,7 +82,7 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
         types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
         unknown = set(obj) - set(types)
         if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+            raise ValueError(f"{path}: unknown config keys {_brief(sorted(unknown))}")
         for name, value in obj.items():
             # JSON has one number type: an int is accepted for a float, but a bool is no int.
             expected = types[name]
@@ -102,6 +91,8 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
                 raise ValueError(
                     f"{path}: field '{name}' must be {expected.__name__}, got {type(value).__name__}"
                 )
+            if expected is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"{path}: field '{name}' must be float, got int {_brief(value)} beyond the float range")
         values.update(obj)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
@@ -114,6 +105,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _printable(message) -> str:
+    """str(message) with each non-printable character escaped as repr escapes it, so it stays one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in str(message))
 
 
 def _setup_logging():
@@ -233,7 +229,7 @@ def _frame_length(cfg: RunConfig, sample_rate_hz: int) -> int:
     for field, (what, samples) in spans.items():
         if not 0.5 < samples < math.inf:
             raise ValueError(
-                f"{field} {getattr(cfg, field)} at {sr} Hz: {what} spans {samples!r} samples; "
+                f"{field} {_brief(getattr(cfg, field))} at {sr} Hz: {what} spans {samples!r} samples; "
                 "need a finite count that rounds to at least 1"
             )
     frame_len = ms_to_samples(cfg.frame_ms, sr)
@@ -289,7 +285,7 @@ def _subsample(entries, fraction: float, seed: int):
 
 
 def _provenance(cfg: RunConfig, manifest_path: str | None) -> dict:
-    prov = {"config": cfg.snapshot()}
+    prov = {"config": dataclasses.asdict(cfg)}
     if manifest_path is not None:
         prov["manifest_sha256"] = store.file_digest(manifest_path)
     return prov
@@ -297,8 +293,7 @@ def _provenance(cfg: RunConfig, manifest_path: str | None) -> dict:
 
 # --- Subcommands ---------------------------------------------------------------
 
-def cmd_learn_scale(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_learn_scale(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
@@ -309,13 +304,12 @@ def cmd_learn_scale(args) -> int:
         warping = scale.mel_warping_scale(sr / 2.0)
     else:
         if cfg.n_filters < 2:
-            raise ValueError(f"n_filters {cfg.n_filters}: need at least two bands")
+            raise ValueError(f"n_filters {_brief(cfg.n_filters)}: need at least two bands")
         filterbank.check_n_filters(cfg.n_filters, n_fft)
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
-        pitch = cfg.pitch_config() if kind == "speech-based-pitch" else None
 
         def ltas(seg):
-            return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, pitch))
+            return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"))
 
         avg = scale.average_ltas(list(_utterance_pass(entries, sr, cfg.jobs, ltas)))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
@@ -328,8 +322,7 @@ def cmd_learn_scale(args) -> int:
     return EXIT_OK
 
 
-def cmd_learn_filterbank(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
     shape_kind = SHAPE_FLAGS[cfg.shape]
@@ -361,8 +354,7 @@ def cmd_learn_filterbank(args) -> int:
     return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_extract(args, cfg: RunConfig) -> int:
     manifest = store.load_manifest(args.manifest)
     outdir = Path(args.out)
     targets = {e.utterance_id: outdir / f"{e.utterance_id}.wflt" for e in manifest.entries}
@@ -370,7 +362,7 @@ def cmd_extract(args) -> int:
     fb_doc, fb = _load_document(args.filterbank, "filterbank")
     _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg)
     if cfg.n_ceps > fb.n_filters - 1:
-        raise ValueError(f"{args.filterbank}: n_ceps {cfg.n_ceps} must be <= n_filters - 1 = {fb.n_filters - 1}")
+        raise ValueError(f"{args.filterbank}: n_ceps {_brief(cfg.n_ceps)} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write(seg):
@@ -383,7 +375,7 @@ def cmd_extract(args) -> int:
         for result in _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, write, keep_going=True):
             if isinstance(result, ValueError):
                 failed += 1
-                logger.error("%s", result)
+                logger.error("%s", _printable(result))
             else:
                 print(result)
     if failed:
@@ -392,8 +384,7 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def cmd_fratio(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_fratio(args, cfg: RunConfig) -> int:
     _refuse_existing([args.out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
     speakers = manifest.speakers()
@@ -422,7 +413,7 @@ def cmd_fratio(args) -> int:
     report = analysis.f_ratio_report(variants)
     print(report.to_text())
     if args.out is not None:
-        Path(args.out).write_text(report.to_tsv(), encoding="utf-8")
+        store._atomic_write(args.out, report.to_tsv().encode("utf-8"))
     return EXIT_OK
 
 
@@ -448,8 +439,7 @@ def _speech_frames(paths) -> np.ndarray:
     return np.vstack(rows)
 
 
-def cmd_train_ubm(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_train_ubm(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
     frames = _speech_frames(list(_feature_files(args.features).values()))
@@ -463,8 +453,7 @@ def cmd_train_ubm(args) -> int:
     return EXIT_OK
 
 
-def cmd_enroll(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_enroll(args, cfg: RunConfig) -> int:
     manifest = store.load_manifest(args.manifest)
     speakers = manifest.speakers()
     if not speakers:
@@ -488,8 +477,7 @@ def cmd_enroll(args) -> int:
     return EXIT_OK
 
 
-def cmd_score(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_score(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
     trials = store.read_trials(args.trials)
@@ -523,8 +511,7 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     _refuse_existing([args.det_out], args.overwrite)
     scores = store.read_scores(args.scores)
     if args.fuse_with is not None:
@@ -544,7 +531,7 @@ def cmd_evaluate(args) -> int:
         for row in zip(curve.thresholds, curve.p_miss, curve.p_fa):
             probits = [-math.inf if p == 0.0 else math.inf if p == 1.0 else inv_cdf(p) for p in map(float, row[1:])]
             lines.append("\t".join(repr(float(v)) for v in (*row, *probits)))
-        Path(args.det_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        store._atomic_write(args.det_out, ("\n".join(lines) + "\n").encode("utf-8"))
     return EXIT_OK
 
 
@@ -560,9 +547,9 @@ def _config_from_args(args) -> RunConfig:
 def _add_common(p, *, jobs=True, seed=True):
     p.add_argument("--config", help="JSON config file; flags override its values")
     if seed:
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
+        p.add_argument("--seed", type=int, help=f"random seed (default {RunConfig.seed})")
     if jobs:
-        p.add_argument("--jobs", type=int, help="parallel workers over utterances or test segments (>= 1, default 1)")
+        p.add_argument("--jobs", type=int, help=f"parallel workers over utterances or test segments (>= 1, default {RunConfig.jobs})")
     p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
 
 
@@ -647,12 +634,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
+        print(f"usage error: {_printable(err)}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, _config_from_args(args))
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {_printable(err)}", file=sys.stderr)
         return EXIT_DATA
 
 

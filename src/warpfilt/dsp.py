@@ -1,8 +1,58 @@
-"""Core signal-processing primitives: pre-emphasis, framing, windowing, spectra, DCT."""
+"""Core signal-processing primitives: the front-end configuration, pre-emphasis,
+framing, windowing, spectra, DCT."""
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _brief(value) -> str:
+    """repr(value), or its first 40 characters and its length when it is longer, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+@dataclass
+class FeatureConfig:
+    """Front-end settings: framing, pitch band and voicing threshold, and cepstra.
+
+    Defaults give the 57-dimensional configuration. The filter count is the
+    filterbank's, and cepstra checks n_ceps against it.
+    """
+
+    frame_ms: float = 20.0
+    hop_ms: float = 10.0
+    n_ceps: int = 19
+    delta_window: int = 2
+    rasta_enabled: bool = True
+    cmvn_enabled: bool = True
+    preemph: float = 0.97
+    pitch_f_min_hz: float = 50.0
+    pitch_f_max_hz: float = 400.0
+    voicing_threshold: float = 0.5
+
+    def __post_init__(self):
+        # Comparisons written so that a NaN fails them.
+        if not 0.0 < self.frame_ms < np.inf:
+            raise ValueError(f"frame_ms must be positive and finite, got {_brief(self.frame_ms)}")
+        if not 0.0 < self.hop_ms <= self.frame_ms:
+            raise ValueError(f"hop_ms must lie in (0, frame_ms {_brief(self.frame_ms)}], got {_brief(self.hop_ms)}")
+        if not 0.0 <= self.preemph < 1.0:
+            raise ValueError(f"preemph must lie in [0, 1), got {_brief(self.preemph)}")
+        if self.n_ceps < 1:
+            raise ValueError(f"n_ceps must be >= 1, got {_brief(self.n_ceps)}")
+        if self.delta_window < 1:
+            raise ValueError("delta_window must be >= 1")
+        if not -np.inf < self.voicing_threshold < np.inf:
+            raise ValueError(f"voicing_threshold must be finite, got {_brief(self.voicing_threshold)}")
+        if not 0.0 < self.pitch_f_min_hz < self.pitch_f_max_hz:
+            raise ValueError(
+                f"pitch_f_min_hz must lie in (0, pitch_f_max_hz {_brief(self.pitch_f_max_hz)}), got {_brief(self.pitch_f_min_hz)}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return 3 * self.n_ceps
 
 
 @dataclass

@@ -4,8 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import (
+from .dsp import (  # FeatureConfig is re-exported: warpfilt.features.FeatureConfig
     AudioSegment,
+    FeatureConfig,
     PowerSpectrogram,
     dct_ii_ortho,
     frame_signal,
@@ -14,44 +15,11 @@ from .dsp import (
     pre_emphasize,
 )
 from .filterbank import Filterbank
-from .sad import ENERGY_EPS, PitchConfig, bi_gaussian_sad, frame_log_energy, voiced_mask
+from .sad import ENERGY_EPS, bi_gaussian_sad, frame_log_energy, voiced_mask
 
 # Classic RASTA band-pass: 0.1*(2 + z^-1 - z^-3 - 2 z^-4) / (1 - 0.98 z^-1).
 RASTA_NUM = 0.1 * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 RASTA_DEN = np.array([1.0, -0.98])
-
-
-@dataclass
-class FeatureConfig:
-    """Front-end and cepstral settings; defaults give the 57-dimensional configuration.
-
-    The filter count is the filterbank's, and cepstra checks n_ceps against it.
-    """
-
-    frame_ms: float = 20.0
-    hop_ms: float = 10.0
-    n_ceps: int = 19
-    delta_window: int = 2
-    rasta_enabled: bool = True
-    cmvn_enabled: bool = True
-    preemph: float = 0.97
-
-    def __post_init__(self):
-        # Comparisons written so that a NaN fails them.
-        if not 0.0 < self.frame_ms < np.inf:
-            raise ValueError(f"frame_ms must be positive and finite, got {self.frame_ms}")
-        if not 0.0 < self.hop_ms <= self.frame_ms:
-            raise ValueError(f"hop_ms must lie in (0, frame_ms {self.frame_ms}], got {self.hop_ms}")
-        if not 0.0 <= self.preemph < 1.0:
-            raise ValueError(f"preemph must lie in [0, 1), got {self.preemph}")
-        if self.n_ceps < 1:
-            raise ValueError(f"n_ceps must be >= 1, got {self.n_ceps}")
-        if self.delta_window < 1:
-            raise ValueError("delta_window must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.n_ceps
 
 
 @dataclass
@@ -164,19 +132,19 @@ def cmvn(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def utterance_spectra(
-    x: AudioSegment, cfg: FeatureConfig, n_fft: int, pitch: PitchConfig | None = None
+    x: AudioSegment, cfg: FeatureConfig, n_fft: int, voicing: bool = False
 ) -> tuple[PowerSpectrogram, np.ndarray]:
     """The front end of one utterance: its power spectra and the mask of frames to use.
 
     Pre-emphasis, framing, a Hamming window and n_fft-point power spectra. The mask
-    is the bi-Gaussian SAD, ANDed with voicing when a PitchConfig is given.
+    is the bi-Gaussian SAD, ANDed with voicing in cfg's pitch band when voicing is set.
     """
     emphasized = pre_emphasize(x, cfg.preemph)
     frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
     spec = power_spectrum(frames, n_fft, hamming_window(frames.shape[1]), x.sample_rate_hz)
-    if pitch is None:
+    if not voicing:
         return spec, bi_gaussian_sad(frame_log_energy(frames))
-    return spec, voiced_mask(frames, x.sample_rate_hz, pitch)
+    return spec, voiced_mask(frames, x.sample_rate_hz, cfg)
 
 
 def extract_features(x: AudioSegment, fb: Filterbank, cfg: FeatureConfig) -> FeatureMatrix:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import hamming_window
+from .dsp import _brief, hamming_window
 from .scale import WarpingScale
 
 logger = logging.getLogger(__name__)
@@ -64,7 +64,7 @@ class Filterbank:
         if not np.isfinite(self.responses).all():
             raise ValueError("responses must be finite")
         if self.shape_kind not in SHAPE_KINDS:
-            raise ValueError(f"unknown shape kind: {self.shape_kind!r}")
+            raise ValueError(f"unknown shape kind: {_brief(self.shape_kind)}")
 
     @property
     def n_filters(self) -> int:
@@ -81,7 +81,7 @@ def check_n_filters(q: int, n_fft: int):
     if q < 1:
         raise ValueError("need at least one filter")
     if k < q + 2:
-        raise ValueError(f"too few bins: n_filters {q} needs {q + 2}, n_fft {n_fft} gives {k}")
+        raise ValueError(f"too few bins: n_filters {_brief(q)} needs {_brief(q + 2)}, n_fft {n_fft} gives {k}")
 
 
 def place_filter_edges(

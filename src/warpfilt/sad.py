@@ -1,7 +1,10 @@
 """Frame selection: bi-Gaussian energy SAD and autocorrelation voicing detection."""
 
 from dataclasses import dataclass
+
 import numpy as np
+
+from .dsp import FeatureConfig
 
 ENERGY_EPS = 1e-12
 VAR_FLOOR = 1e-10
@@ -12,19 +15,6 @@ EM_TOL = 1e-6
 # search: the normalized autocorrelation degenerates to +/-1 as the overlap
 # shrinks, which would mark noise frames as voiced.
 MIN_OVERLAP = 48
-
-@dataclass
-class PitchConfig:
-    """Search band and voicing decision threshold of the pitch tracker."""
-
-    f_min_hz: float = 50.0
-    f_max_hz: float = 400.0
-    voicing_threshold: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.f_min_hz < self.f_max_hz:
-            raise ValueError("require 0 < f_min_hz < f_max_hz")
-
 
 @dataclass
 class PitchTrack:
@@ -151,20 +141,20 @@ def normalized_autocorrelation(frames: np.ndarray, lag_min: int, lag_max: int) -
 
 
 def track_pitch(
-    frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None
+    frames: np.ndarray, sample_rate_hz: int, cfg: FeatureConfig | None = None
 ) -> PitchTrack:
     """Voicing per frame of a frame matrix.
 
     A frame is voiced when it is live (energy above ENERGY_EPS) and its largest
-    normalized autocorrelation over the pitch-band lags is at least the
-    voicing threshold.
+    normalized autocorrelation over the lags of cfg's pitch band is at least
+    cfg's voicing threshold; None means FeatureConfig().
     """
-    cfg = cfg or PitchConfig()
+    cfg = cfg or FeatureConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n_frames, n = frames.shape
     voiced = np.zeros(n_frames, dtype=bool)
-    lag_min = max(1, int(np.ceil(sample_rate_hz / cfg.f_max_hz)))
-    lag_max = min(int(np.floor(sample_rate_hz / cfg.f_min_hz)), n - 1, n - MIN_OVERLAP)
+    lag_min = max(1, int(np.ceil(sample_rate_hz / cfg.pitch_f_max_hz)))
+    lag_max = min(int(np.floor(sample_rate_hz / cfg.pitch_f_min_hz)), n - 1, n - MIN_OVERLAP)
     live = np.flatnonzero(np.sum(frames * frames, axis=1) > ENERGY_EPS)
     if lag_min <= lag_max and live.size > 0:
         r = normalized_autocorrelation(frames[live], lag_min, lag_max)
@@ -172,7 +162,7 @@ def track_pitch(
     return PitchTrack(voiced)
 
 
-def voiced_mask(frames: np.ndarray, sample_rate_hz: int, cfg: PitchConfig | None = None) -> np.ndarray:
+def voiced_mask(frames: np.ndarray, sample_rate_hz: int, cfg: FeatureConfig | None = None) -> np.ndarray:
     """SAD mask AND the voicing decision of track_pitch, which runs on the SAD-kept frames only."""
     mask = bi_gaussian_sad(frame_log_energy(frames))
     mask[mask] = track_pitch(np.asarray(frames)[mask], sample_rate_hz, cfg).voiced

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import PowerSpectrogram
+from .dsp import PowerSpectrogram, _brief
 
 AREA_SHIFT = 1e-6
 MEL_KNOTS = 512
@@ -46,7 +46,7 @@ class WarpingScale:
         self.knots_hz = np.asarray(self.knots_hz, dtype=np.float64)
         self.knots_warped = np.asarray(self.knots_warped, dtype=np.float64)
         if self.kind not in SCALE_KINDS:
-            raise ValueError(f"unknown scale kind: {self.kind!r}")
+            raise ValueError(f"unknown scale kind: {_brief(self.kind)}")
         if self.knots_hz.shape != self.knots_warped.shape or self.knots_hz.ndim != 1:
             raise ValueError("knot arrays must be one-dimensional and equal-length")
         for name in ("knots_hz", "knots_warped"):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .backend import GmmModel, Trial, TrialScoreSet
-from .dsp import AudioSegment
+from .dsp import AudioSegment, _brief
 from .filterbank import Filterbank, FilterbankLayout
 from .scale import WarpingScale
 
@@ -21,6 +21,8 @@ MODEL_KINDS = ("warping-scale", "filterbank", "gmm")
 DOCUMENT_KEYS = {"schema_version", "kind", "sample_rate_hz", "n_fft", "payload", "provenance"}
 
 MAX_N_FFT = 1 << 16
+# The largest sample rate a WAV header's 32-bit field holds; it bounds every sample rate and header integer.
+MAX_HEADER_INT = (1 << 32) - 1
 
 FEATURE_MAGIC = b"WFLT"
 FEATURE_VERSION = 1
@@ -46,12 +48,6 @@ def _atomic_write(path: str | Path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _brief(value) -> str:
-    """repr(value), or its first 40 characters and its length when it is longer, for an error message."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _read_text(path: str | Path) -> str:
@@ -218,6 +214,8 @@ def _header_int(doc: ModelDocument, name: str, minimum: int) -> int:
     value = getattr(doc, name)
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {_brief(value)}")
+    if value > MAX_HEADER_INT:
+        raise ValueError(f"{name} must be <= {MAX_HEADER_INT}, got {_brief(value)}")
     return value
 
 
@@ -435,6 +433,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     rate = obj["sample_rate_hz"]
     if type(rate) is not int or rate <= 0:
         raise ValueError(f"{path}: field 'sample_rate_hz' must be a positive integer")
+    if rate > MAX_HEADER_INT:
+        raise ValueError(f"{path}: field 'sample_rate_hz' must be <= {MAX_HEADER_INT}, got {_brief(rate)}")
     if not isinstance(obj["entries"], list):
         raise ValueError(f"{path}: field 'entries' must be a list")
     if not obj["entries"]:

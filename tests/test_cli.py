@@ -1110,10 +1110,11 @@ class TestNFftRule:
 
 
 def one_bad_utterance(root, small_corpus, name, data):
-    """A manifest of three good utterances of the small corpus and a WAV file holding `data`, third."""
+    """A manifest of three good utterances of the small corpus and a WAV file holding `data` (None: no file), third."""
     good = load_manifest(small_corpus["manifest"]).entries[:3]
     bad = Path(root) / f"{name}.wav"
-    bad.write_bytes(data)
+    if data is not None:
+        bad.write_bytes(data)
     manifest = Path(root) / "bad_corpus.json"
     save_manifest(CorpusManifest(good[:2] + [ManifestEntry(name, bad, "spk9")] + good[2:], 16000), manifest)
     return manifest, bad
@@ -1517,3 +1518,315 @@ class TestRunConfig:
         rc, _, err = run(capsys, "evaluate", "--scores", write_score_file(tmp_path), "--config", path)
         assert rc in (0, 2)
         assert len(err.splitlines()) <= 1
+
+
+def brief(value):
+    """repr(value), or its first 40 characters and its length when it is longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+class TestOneStderrLine:
+    """Whatever bytes an input holds, an error is one stderr line: non-printable characters are escaped."""
+
+    NAMES = [("a\nb", "a\\nb"), ("a\tb\x1b", "a\\tb\\x1b"), ("a\u2028b", "a\\u2028b"), ("é ü", "é ü")]
+
+    @pytest.mark.parametrize("name, shown", NAMES, ids=["newline", "tab-escape", "line-separator", "non-ascii"])
+    def test_wav_path_escaped(self, capsys, small_corpus, tmp_path, name, shown):
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, name, b"not audio")
+        rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: utterance {shown}: {str(bad).replace(name, shown)}: not a RIFF/WAVE file"]
+
+    @pytest.mark.parametrize("name, shown", NAMES, ids=["newline", "tab-escape", "line-separator", "non-ascii"])
+    def test_missing_wav_path_escaped(self, capsys, small_corpus, tmp_path, name, shown):
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, name, None)
+        rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: {manifest}: missing audio file {str(bad).replace(name, shown)}"]
+
+    def test_usage_error_argument_escaped(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "evaluate", "--scores", tmp_path / "x", "--zz\nq")
+        assert rc == 1 and out == ""
+        assert err.splitlines() == ["usage error: unrecognized arguments: --zz\\nq"]
+
+    def test_extract_log_line_escaped(self, small_corpus, pipeline, tmp_path):
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "a\nb", b"not audio")
+        proc = python_child(
+            "-m", "warpfilt.cli", "extract", "--manifest", manifest, "--filterbank", pipeline / "fb.json",
+            "--out", tmp_path / "feats",
+        )
+        assert proc.returncode == 2
+        shown = str(bad).replace("\n", "\\n")
+        assert proc.stderr.splitlines() == [
+            f"ERROR warpfilt.cli: utterance a\\nb: {shown}: not a RIFF/WAVE file",
+            "ERROR warpfilt.cli: 1 of 4 utterances failed",
+        ]
+
+
+class TestConfigValuesCapped:
+    """An echoed config value longer than 40 characters is cut to its first 40 and its length."""
+
+    NINES = 10**400 - 1
+    TOO_FEW_BINS = "too few bins: n_filters {v} needs {v2}, n_fft 512 gives 257"
+
+    @pytest.mark.parametrize(
+        "command, field, value, message",
+        [
+            pytest.param("learn-scale", "n_ceps", -NINES, "n_ceps must be >= 1, got {v}", id="n_ceps"),
+            pytest.param("extract", "n_ceps", NINES, "FB: n_ceps {v} must be <= n_filters - 1 = 19", id="n_ceps-extract"),
+            pytest.param("extract", "jobs", -NINES, "jobs must be >= 1, got {v}", id="jobs"),
+            pytest.param("train-ubm", "ubm_components", -NINES, "ubm_components must be >= 1, got {v}", id="ubm_components"),
+            pytest.param("train-ubm", "em_iters", -NINES, "em_iters must be >= 1, got {v}", id="em_iters"),
+            pytest.param("learn-scale", "n_filters", -NINES, "n_filters {v}: need at least two bands", id="n_filters-bands"),
+            pytest.param("learn-scale", "n_filters", NINES, TOO_FEW_BINS, id="n_filters-learn-scale"),
+            pytest.param("learn-filterbank", "n_filters", NINES, TOO_FEW_BINS, id="n_filters-learn-filterbank"),
+            pytest.param("learn-scale", "hop_ms", 10**300, "hop_ms must lie in (0, frame_ms 20.0], got {v}", id="hop_ms"),
+            pytest.param("learn-scale", "seed", -NINES, "seed must be >= 0, got {v}", id="seed"),
+            pytest.param("learn-scale", "seed", -1, "seed must be >= 0, got -1", id="seed-short"),
+            # An int beyond the float range, where a float is expected, is refused as the file is read.
+            pytest.param(
+                "learn-scale", "frame_ms", 10**400, "CFG: field 'frame_ms' must be float, got int {v} beyond the float range",
+                id="frame_ms-beyond-float",
+            ),
+            pytest.param(
+                "learn-scale", "voicing_threshold", -(10**400),
+                "CFG: field 'voicing_threshold' must be float, got int {v} beyond the float range",
+                id="voicing_threshold-beyond-float",
+            ),
+        ],
+    )
+    def test_one_bounded_line(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command, field, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        argv = {
+            "learn-scale": ["--manifest", small_corpus["manifest"], "--scale", "speech"],
+            "learn-filterbank": ["--scale-doc", pipeline / "scale.json", "--shape", "tri"],
+            "extract": ["--manifest", small_corpus["manifest"], "--filterbank", pipeline / "fb.json"],
+            "train-ubm": ["--features", pipeline / "feats"],
+        }[command]
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(capsys, command, *argv, "--config", cfg, "--out", tmp_path / "out")
+        assert rc == 2 and out == "" and loaded == []
+        expected = message.format(v=brief(value), v2=brief(value + 2))
+        expected = expected.replace("FB", str(pipeline / "fb.json")).replace("CFG", str(cfg))
+        assert err.splitlines() == [f"error: {expected}"]
+        assert len(err) < 200 + len(str(pipeline))
+
+
+class TestAtomicOutputs:
+    """fratio --out and evaluate --det-out are written through a temporary file and a rename."""
+
+    @pytest.mark.parametrize("command", ["fratio", "evaluate"])
+    def test_failed_rename_leaves_no_output(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command):
+        out = tmp_path / "out.tsv"
+        argv = {
+            "fratio": ["fratio", "--manifest", small_corpus["manifest"], "--filterbanks", pipeline / "fb.json",
+                       pipeline / "fb.json", "--out", out],
+            "evaluate": ["evaluate", "--scores", pipeline / "scores.tsv", "--det-out", out],
+        }[command]
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename to {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert err.splitlines() == [f"error: cannot rename to {out}"]
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def mutable_inputs(tmp_path_factory):
+    """Every input kind the CLI reads, from a 2-speaker corpus of two 1-s utterances each; the manifest holds absolute paths."""
+    root = tmp_path_factory.mktemp("mutable")
+    m, enroll, trials = build_corpus(root, n_speakers=2, n_utterances=2, duration_s=1.0, n_enroll=1, seed=5)
+    entries = load_manifest(m).entries
+    manifest = root / "absolute.json"
+    manifest.write_text(json.dumps({
+        "sample_rate_hz": 16000,
+        "entries": [{"utterance_id": e.utterance_id, "path": str(e.path), "speaker_id": e.speaker_id} for e in entries],
+    }))
+    for argv in (
+        ["learn-scale", "--manifest", m, "--scale", "speech", "--out", root / "scale.json"],
+        ["learn-filterbank", "--scale-doc", root / "scale.json", "--shape", "tri", "--out", root / "fb.json"],
+        ["extract", "--manifest", m, "--filterbank", root / "fb.json", "--out", root / "feats"],
+        ["train-ubm", "--features", root / "feats", "--ubm-components", "2", "--em-iters", "2", "--out", root / "ubm.json"],
+        ["enroll", "--manifest", enroll, "--features", root / "feats", "--ubm", root / "ubm.json", "--out", root / "models"],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    return {"root": root, "manifest": manifest, "trials": trials, "entries": entries}
+
+
+class TestSampleRateBound:
+    """A sample rate is at most 2**32 - 1, the largest a WAV header holds; a larger one exits 2 with one short line."""
+
+    RATE = 10**400
+
+    def test_manifest_rate(self, capsys, mutable_inputs, tmp_path):
+        obj = json.loads(mutable_inputs["manifest"].read_text())
+        obj["sample_rate_hz"] = self.RATE
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "learn-scale", "--manifest", bad, "--scale", "speech", "--out", tmp_path / "s.json")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: {bad}: field 'sample_rate_hz' must be <= 4294967295, got {brief(self.RATE)}"]
+
+    @pytest.mark.parametrize("name", ["scale.json", "fb.json"])
+    def test_document_rate(self, capsys, mutable_inputs, tmp_path, name):
+        # sample_rate_hz lies outside the payload, so the checksum still holds.
+        obj = json.loads((mutable_inputs["root"] / name).read_text())
+        obj["sample_rate_hz"] = self.RATE
+        bad = tmp_path / name
+        bad.write_text(json.dumps(obj))
+        argv = {
+            "scale.json": ["learn-filterbank", "--scale-doc", bad, "--shape", "tri"],
+            "fb.json": ["extract", "--manifest", mutable_inputs["manifest"], "--filterbank", bad],
+        }[name]
+        rc, out, err = run(capsys, *argv, "--out", tmp_path / "out")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: {bad}: sample_rate_hz must be <= 4294967295, got {brief(self.RATE)}"]
+
+
+class TestLongValuesCapped:
+    """A document kind or a config string longer than 40 characters is echoed cut to 40 and its length."""
+
+    @pytest.mark.parametrize("name, field", [("scale.json", "scale_kind"), ("fb.json", "shape_kind")])
+    def test_document_kind(self, capsys, mutable_inputs, tmp_path, name, field):
+        doc = load_model(mutable_inputs["root"] / name)
+        doc.payload[field] = 10**400
+        bad = tmp_path / name
+        store.save_model(doc, bad)  # a fresh checksum, as a hand edit would get
+        argv = {
+            "scale.json": ["learn-filterbank", "--scale-doc", bad, "--shape", "tri"],
+            "fb.json": ["extract", "--manifest", mutable_inputs["manifest"], "--filterbank", bad],
+        }[name]
+        rc, out, err = run(capsys, *argv, "--out", tmp_path / "out")
+        assert rc == 2 and out == ""
+        kind = field.replace("_", " ")
+        assert err.splitlines() == [f"error: {bad}: unknown {kind}: {brief(10**400)}"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"scale": "%s"}' % ("x" * 100), "unknown scale {v}"),
+            ('{"shape": "%s"}' % ("x" * 100), "unknown shape {v}"),
+            ('{"cost_preset": "%s"}' % ("x" * 100), "unknown cost preset {v}"),
+            ('{"%s": 1}' % ("x" * 100), "CFG: unknown config keys {k}"),
+            ('{"scale": "bark"}', "unknown scale 'bark'"),
+        ],
+        ids=["scale", "shape", "cost_preset", "key", "short"],
+    )
+    def test_config_string(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc, out, err = run(capsys, "evaluate", "--scores", write_score_file(tmp_path), "--config", cfg)
+        assert rc == 2 and out == ""
+        expected = message.format(v=brief("x" * 100), k=brief(["x" * 100])).replace("CFG", str(cfg))
+        assert err.splitlines() == [f"error: {expected}"]
+
+
+def json_paths(node, path=()):
+    """The path (keys and indices) of every node of a JSON document, the root's () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_paths(child, (*path, key))
+
+
+DELETE = object()
+
+
+def with_node(obj, path, value):
+    """A copy of obj with the node at path replaced by value, or removed when value is DELETE (the root: DELETE)."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+class TestMutatedInputs:
+    """Any one mutated field of a JSON input or byte of a binary input: exit 0 and no stderr, or exit 2 and one line."""
+
+    EDGE_VALUES = st.sampled_from([0, -1, 1, 2, 3.5, -0.0, 1e-320, 1e308, 2**63, 10**400, -(10**400), math.nan, math.inf])
+    # Strings stay short, so that a line over 300 characters, paths aside, is a value echoed whole.
+    VALUES = st.just(DELETE) | EDGE_VALUES | st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    def documents(self, inputs, tmp_path, data, names):
+        """Write a copy of one of the named JSON inputs with one node replaced; (path of the copy, name)."""
+        name = data.draw(st.sampled_from(names))
+        source = inputs["manifest"] if name == "manifest" else inputs["root"] / name
+        obj = json.loads(source.read_text())
+        paths = list(json_paths(obj))
+        # Half the draws pick a header field or an entry: a payload holds thousands of numbers.
+        path = data.draw(st.sampled_from([p for p in paths if len(p) <= 2]) | st.sampled_from(paths))
+        obj = with_node(obj, path, data.draw(self.VALUES))
+        if name != "manifest" and data.draw(st.booleans()):  # a fresh checksum, as a hand edit would get
+            if isinstance(obj, dict) and isinstance(obj.get("payload"), dict) and isinstance(obj.get("provenance"), dict):
+                obj["provenance"]["payload_sha256"] = store._payload_digest(obj["payload"])
+        bad = tmp_path / Path(name).name
+        bad.write_text("" if obj is DELETE else json.dumps(obj))
+        return bad, name
+
+    def binary(self, source, target, data):
+        """Write source to target with one byte replaced, or cut short at that byte."""
+        raw = bytearray(source.read_bytes())
+        at = data.draw(st.integers(0, 63) | st.integers(0, len(raw) - 1))
+        value = data.draw(st.none() | st.integers(0, 255))
+        target.write_bytes(raw[:at] if value is None else raw[:at] + bytes([value]) + raw[at + 1 :])
+
+    def command(self, inputs, tmp_path, target, data):
+        root, manifest, out = inputs["root"], inputs["manifest"], tmp_path / "out"
+        if target == "manifest":
+            bad, _ = self.documents(inputs, tmp_path, data, ["manifest"])
+            return ["learn-scale", "--manifest", bad, "--scale", "speech", "--out", out]
+        if target == "wav":
+            entry = inputs["entries"][1]
+            bad = tmp_path / "bad.wav"
+            self.binary(entry.path, bad, data)
+            obj = json.loads(manifest.read_text())
+            obj["entries"][1]["path"] = str(bad)
+            (tmp_path / "m.json").write_text(json.dumps(obj))
+            return ["learn-scale", "--manifest", tmp_path / "m.json", "--scale", "speech", "--out", out]
+        if target == "scale":
+            bad, _ = self.documents(inputs, tmp_path, data, ["scale.json"])
+            return ["learn-filterbank", "--scale-doc", bad, "--shape", "tri", "--out", out]
+        if target == "filterbank":
+            bad, _ = self.documents(inputs, tmp_path, data, ["fb.json"])
+            return ["fratio", "--manifest", manifest, "--filterbanks", bad, root / "fb.json", "--out", out]
+        if target == "gmm":
+            models = tmp_path / "models"
+            shutil.copytree(root / "models", models, dirs_exist_ok=True)
+            bad, name = self.documents(inputs, models, data, ["ubm.json", "models/spk0.json"])
+            ubm = bad if name == "ubm.json" else root / "ubm.json"
+            return ["score", "--trials", inputs["trials"], "--models", models, "--ubm", ubm, "--features", root / "feats", "--out", out]
+        feats = tmp_path / "feats"
+        shutil.copytree(root / "feats", feats, dirs_exist_ok=True)
+        wflt = sorted(feats.iterdir())[data.draw(st.integers(0, 3))]
+        self.binary(root / "feats" / wflt.name, wflt, data)
+        return ["train-ubm", "--features", feats, "--ubm-components", "2", "--em-iters", "1", "--out", out]
+
+    @pytest.mark.parametrize("target", ["manifest", "wav", "scale", "filterbank", "gmm", "features"])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_0_or_one_line(self, capsys, caplog, mutable_inputs, tmp_path, target, data):
+        # Under pytest, logged warnings and errors go to caplog, not stderr, so they count as stderr lines here.
+        caplog.clear()
+        argv = self.command(mutable_inputs, tmp_path, target, data)
+        rc, _, err = run(capsys, *argv, "--overwrite")
+        lines = err.splitlines() + [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert (rc, lines) == (0, []) or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (rc, lines)
+        assert lines == [] or lines[0].isprintable()
+        shown = lines[0].replace(str(tmp_path), "").replace(str(mutable_inputs["root"]), "") if lines else ""
+        assert len(shown) <= 300, shown

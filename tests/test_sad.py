@@ -10,7 +10,6 @@ from warpfilt.sad import (
     ENERGY_EPS,
     MIN_OVERLAP,
     VAR_FLOOR,
-    PitchConfig,
     bi_gaussian_sad,
     fit_two_gaussians,
     frame_log_energy,
@@ -52,8 +51,8 @@ def reference_track(frames, sr, cfg):
     n_frames, n = frames.shape
     f0 = np.full(n_frames, np.nan)
     score = np.zeros(n_frames)
-    lag_min = max(1, int(np.ceil(sr / cfg.f_max_hz)))
-    lag_max = min(int(np.floor(sr / cfg.f_min_hz)), n - 1, n - MIN_OVERLAP)
+    lag_min = max(1, int(np.ceil(sr / cfg.pitch_f_max_hz)))
+    lag_max = min(int(np.floor(sr / cfg.pitch_f_min_hz)), n - 1, n - MIN_OVERLAP)
     live = np.sum(frames * frames, axis=1) > ENERGY_EPS
     if lag_min > lag_max or not live.any():
         return f0, score
@@ -62,7 +61,7 @@ def reference_track(frames, sr, cfg):
         peak, lag = reference_peak_lag(r[row], lag_min)
         score[i] = float(np.clip(peak, 0.0, 1.0))
         if peak >= cfg.voicing_threshold:
-            f0[i] = np.clip(sr / lag, cfg.f_min_hz, cfg.f_max_hz)
+            f0[i] = np.clip(sr / lag, cfg.pitch_f_min_hz, cfg.pitch_f_max_hz)
     return f0, score
 
 
@@ -89,17 +88,17 @@ class TestTrackPitchReference:
     """The voicing decision equals where the frame-by-frame f0 reference is finite, bit for bit."""
 
     CONFIGS = [
-        PitchConfig(),
-        PitchConfig(f_min_hz=70.0, f_max_hz=300.0, voicing_threshold=0.3),
-        PitchConfig(f_min_hz=120.0, f_max_hz=250.0, voicing_threshold=0.8),
-        PitchConfig(f_min_hz=390.0, f_max_hz=400.0, voicing_threshold=0.0),  # 1 lag at 8 kHz
-        PitchConfig(f_min_hz=375.0, f_max_hz=400.0, voicing_threshold=0.1),  # 2 lags at 8 kHz
-        PitchConfig(f_min_hz=360.0, f_max_hz=400.0, voicing_threshold=0.2),  # 3 lags at 8 kHz
-        PitchConfig(f_min_hz=790.0, f_max_hz=800.0, voicing_threshold=0.0),  # 1 lag at 16 kHz
-        PitchConfig(f_min_hz=740.0, f_max_hz=800.0, voicing_threshold=0.1),  # 2 lags at 16 kHz
+        FeatureConfig(),
+        FeatureConfig(pitch_f_min_hz=70.0, pitch_f_max_hz=300.0, voicing_threshold=0.3),
+        FeatureConfig(pitch_f_min_hz=120.0, pitch_f_max_hz=250.0, voicing_threshold=0.8),
+        FeatureConfig(pitch_f_min_hz=390.0, pitch_f_max_hz=400.0, voicing_threshold=0.0),  # 1 lag at 8 kHz
+        FeatureConfig(pitch_f_min_hz=375.0, pitch_f_max_hz=400.0, voicing_threshold=0.1),  # 2 lags at 8 kHz
+        FeatureConfig(pitch_f_min_hz=360.0, pitch_f_max_hz=400.0, voicing_threshold=0.2),  # 3 lags at 8 kHz
+        FeatureConfig(pitch_f_min_hz=790.0, pitch_f_max_hz=800.0, voicing_threshold=0.0),  # 1 lag at 16 kHz
+        FeatureConfig(pitch_f_min_hz=740.0, pitch_f_max_hz=800.0, voicing_threshold=0.1),  # 2 lags at 16 kHz
     ]
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.f_min_hz:g}-{c.f_max_hz:g}-{c.voicing_threshold:g}")
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.pitch_f_min_hz:g}-{c.pitch_f_max_hz:g}-{c.voicing_threshold:g}")
     @pytest.mark.parametrize("sr", [8000, 16000])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bit_identical_to_per_frame_reference(self, cfg, sr, seed):
@@ -111,7 +110,7 @@ class TestTrackPitchReference:
     @pytest.mark.parametrize("n_lags", [1, 2, 3])
     def test_short_lag_ranges_from_short_frames(self, n_lags):
         frames = mixed_frames(8000, 2)[:, : MIN_OVERLAP + 20 + n_lags - 1]
-        cfg = PitchConfig(f_min_hz=50.0, f_max_hz=400.0, voicing_threshold=0.0)
+        cfg = FeatureConfig(pitch_f_min_hz=50.0, pitch_f_max_hz=400.0, voicing_threshold=0.0)
         track = track_pitch(frames, 8000, cfg)
         f0, _ = reference_track(frames, 8000, cfg)
         assert track.voiced.tobytes() == np.isfinite(f0).tobytes()
@@ -348,4 +347,4 @@ class TestVoicedMask:
 
 def test_pitch_config_validation():
     with pytest.raises(ValueError):
-        PitchConfig(f_min_hz=400.0, f_max_hz=50.0)
+        FeatureConfig(pitch_f_min_hz=400.0, pitch_f_max_hz=50.0)

@@ -15,7 +15,7 @@ import warpfilt
 from warpfilt.dsp import PowerSpectrogram, hamming_window, power_spectrum
 from warpfilt.features import FeatureConfig, utterance_spectra
 from warpfilt.filterbank import place_filter_edges
-from warpfilt.sad import PitchConfig, bi_gaussian_sad, frame_log_energy, voiced_mask
+from warpfilt.sad import bi_gaussian_sad, frame_log_energy, voiced_mask
 from warpfilt.scale import (
     AREA_SHIFT,
     Ltas,
@@ -296,8 +296,8 @@ def corpus_ltas(small_corpus):
     """The average LTAS of the 3-speaker test corpus under the speech and speech-pitch frame selections."""
     segments = [load_wav(entry.path) for entry in load_manifest(small_corpus["manifest"]).entries]
     return {
-        kind: average_ltas([compute_ltas(*utterance_spectra(seg, FeatureConfig(), 512, pitch)) for seg in segments])
-        for kind, pitch in (("speech-based", None), ("speech-based-pitch", PitchConfig()))
+        kind: average_ltas([compute_ltas(*utterance_spectra(seg, FeatureConfig(), 512, voicing)) for seg in segments])
+        for kind, voicing in (("speech-based", False), ("speech-based-pitch", True))
     }
 
 
