@@ -76,28 +76,21 @@ def cepstra(log_energies: np.ndarray, n_ceps: int) -> np.ndarray:
 def rasta_filter(trajectories: np.ndarray) -> np.ndarray:
     """RASTA band-pass applied independently to each coefficient trajectory.
 
-    Direct form II transposed with zero initial state, in the operation order
-    of scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0), so the output is
-    bit-identical to it. Only the first delay state has a feedback term, so the
-    FIR parts of the four states are summed for all frames at once and only
-    the one-pole recursion loops over frames. lfilter also subtracts y * 0
-    from the other three states. That can only change the sign of a zero
-    state, which could reach the output only through an output of -0.0; none
-    occurs, since y[0] = 0.0 + b0 * x[0] is not -0.0 and each -0.0 output
-    would need a -0.0 output before it.
+    Zero initial state. The FIR part u[k] = sum_i RASTA_NUM[i] * x[k - i] is
+    summed for all frames at once. The one-pole recursion y[k] = u[k] + 0.98 * y[k - 1]
+    then runs as a log-step prefix scan (Blelloch 1990): after the step of span
+    s, y[k] holds the sum of 0.98**j * u[k - j] over j < 2s, so ceil(log2(n))
+    array steps finish it. The output is within 1e-12 of max|y| of
+    scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0), not bit-identical.
     """
     x = np.atleast_2d(np.asarray(trajectories, dtype=np.float64))
     n = x.shape[0]
-    b0, b1, b2, b3, b4 = RASTA_NUM
-    a1 = RASTA_DEN[1]
-    past = np.concatenate([np.zeros((3, x.shape[1])), x])  # past[k + 3 - i] = x[k - i]
-    fir = ((b4 * past[:n] + b3 * past[1 : n + 1]) + b2 * past[2 : n + 2]) + b1 * x
-    b0x = b0 * x
-    y = np.empty_like(x)
-    state = np.zeros(x.shape[1])
-    for k in range(n):
-        y[k] = state + b0x[k]
-        state = fir[k] - y[k] * a1
+    past = np.concatenate([np.zeros((4, x.shape[1])), x])  # past[k + 4 - i] = x[k - i]
+    y = sum(b * past[4 - i : 4 - i + n] for i, b in enumerate(RASTA_NUM))
+    s = 1
+    while s < n:
+        y[s:] += (-RASTA_DEN[1]) ** s * y[:-s]
+        s *= 2
     return y
 
 

@@ -343,8 +343,8 @@ def read_features(path: str | Path):
 # --- Trials and scores -------------------------------------------------------
 
 def _is_file_name(name: str) -> bool:
-    """Whether an id can name a file of its own: one path component, not empty, '.' or '..'."""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+    """Whether an id can name a file and be one stdout field: one printable path component, not '.' or '..'."""
+    return name not in ("", ".", "..") and name.isprintable() and not any(c in name for c in "/\\")
 
 
 def _trial_lines(path: str | Path, n_fields: int, what: str):

@@ -182,6 +182,20 @@ class TestLearnScale:
         assert rc == 0, err
         assert len(out.strip().splitlines()) == n_filters + 2  # the knots: band midpoints and both ends
 
+    def test_speech_pitch_document_identical_across_jobs(self, capsys, small_corpus, tmp_path):
+        outputs = {}
+        for jobs in (1, 2):
+            rc, out, _ = run(
+                capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech-pitch",
+                "--jobs", jobs, "--out", tmp_path / f"s{jobs}.json",
+            )
+            assert rc == 0
+            outputs[jobs] = (out, (tmp_path / f"s{jobs}.json").read_bytes())
+        assert outputs[1][0] == outputs[2][0]
+        # The provenance records the run config, so the documents differ in its "jobs" alone.
+        assert outputs[1][1].count(b'"jobs": 1') == 1
+        assert outputs[1][1].replace(b'"jobs": 1', b'"jobs": 2') == outputs[2][1]
+
     def test_speech_pitch_scale_at_100_filters(self, capsys, small_corpus, tmp_path):
         rc, out, err = run(
             capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--out", tmp_path / "s.json",
@@ -397,6 +411,18 @@ class TestFratio:
         assert "Avg." in out
         header = tsv.read_text().splitlines()[0].split("\t")
         assert header[0] == "filter" and header[-1] == "winner"
+
+    def test_tsv_identical_across_jobs(self, capsys, small_corpus, pipeline, tri_filterbank, tmp_path):
+        outputs = []
+        for jobs in (1, 2):
+            tsv = tmp_path / f"fratio{jobs}.tsv"
+            rc, out, _ = run(
+                capsys, "fratio", "--manifest", small_corpus["manifest"],
+                "--filterbanks", tri_filterbank, pipeline / "fb.json", "--jobs", jobs, "--out", tsv,
+            )
+            assert rc == 0
+            outputs.append((out, tsv.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_accepts_n_fft_1024_filterbank(self, capsys, small_corpus, long_frames):
         rc, out, err = run(
@@ -658,6 +684,11 @@ class TestPerItemRunner:
         assert not models.exists()
 
 
+# Each id is one stdout field and one file-name component, so no id may hold a
+# character that a tab split or str.splitlines would break on.
+CONTROL_IDS = ["u\nnl", "u\tt", "u\rr", "u\x01", "u\x7f", "u\u2028"]
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         rc, _, err = run(capsys, "learn-scale")  # missing required flags
@@ -825,6 +856,7 @@ class TestExitCodes:
             ("utterance_id", "a\\b"),
             ("utterance_id", "a\0b"),
             ("speaker_id", "../escaped"),
+            *[("utterance_id", value) for value in CONTROL_IDS],
         ],
     )
     def test_manifest_id_that_is_no_file_name_refused(
@@ -843,8 +875,27 @@ class TestExitCodes:
         assert stdout == "" and loaded == []
         assert not (tmp_path / "out").exists() and not (tmp_path / "escaped.wflt").exists()
 
+    @pytest.mark.parametrize("value", CONTROL_IDS)
+    def test_enroll_refuses_control_character_speaker_id(self, capsys, small_corpus, pipeline, tmp_path, value):
+        manifest = load_manifest(small_corpus["enroll"])
+        first = manifest.entries[0].speaker_id
+        for entry in manifest.entries:
+            if entry.speaker_id == first:
+                entry.speaker_id = value
+        save_manifest(manifest, tmp_path / "m.json")
+        rc, stdout, err = run(
+            capsys, "enroll", "--manifest", tmp_path / "m.json", "--features", pipeline / "feats",
+            "--ubm", pipeline / "ubm.json", "--out", tmp_path / "models",
+        )
+        assert rc == 2
+        assert err.splitlines() == [
+            f"error: {tmp_path / 'm.json'}: entry 0 field 'speaker_id' must be one path component, got {value!r}"
+        ]
+        assert stdout == ""
+        assert not (tmp_path / "models").exists()
+
     @pytest.mark.parametrize("column, field", [(0, "enroll_id"), (1, "test_id")])
-    @pytest.mark.parametrize("value", ["../x", "", ".."])
+    @pytest.mark.parametrize("value", ["../x", "", "..", "x\x01"])
     def test_trial_id_that_is_no_file_name_refused(self, capsys, small_corpus, pipeline, tmp_path, column, field, value):
         lines = small_corpus["trials"].read_text().splitlines()
         parts = lines[1].split("\t")
@@ -1109,14 +1160,18 @@ class TestNFftRule:
         assert len(lines[0]) <= 200
 
 
-def one_bad_utterance(root, small_corpus, name, data):
-    """A manifest of three good utterances of the small corpus and a WAV file holding `data` (None: no file), third."""
+def one_bad_utterance(root, small_corpus, name, data, utterance_id=None):
+    """A manifest of three good utterances of the small corpus and a WAV file holding `data` (None: no file), third.
+
+    The file is `name`.wav; its utterance id is `utterance_id`, or `name` when that is None.
+    """
     good = load_manifest(small_corpus["manifest"]).entries[:3]
     bad = Path(root) / f"{name}.wav"
     if data is not None:
         bad.write_bytes(data)
     manifest = Path(root) / "bad_corpus.json"
-    save_manifest(CorpusManifest(good[:2] + [ManifestEntry(name, bad, "spk9")] + good[2:], 16000), manifest)
+    entry = ManifestEntry(name if utterance_id is None else utterance_id, bad, "spk9")
+    save_manifest(CorpusManifest(good[:2] + [entry] + good[2:], 16000), manifest)
     return manifest, bad
 
 
@@ -1533,14 +1588,14 @@ class TestOneStderrLine:
 
     @pytest.mark.parametrize("name, shown", NAMES, ids=["newline", "tab-escape", "line-separator", "non-ascii"])
     def test_wav_path_escaped(self, capsys, small_corpus, tmp_path, name, shown):
-        manifest, bad = one_bad_utterance(tmp_path, small_corpus, name, b"not audio")
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, name, b"not audio", utterance_id="bad")
         rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
         assert rc == 2 and out == ""
-        assert err.splitlines() == [f"error: utterance {shown}: {str(bad).replace(name, shown)}: not a RIFF/WAVE file"]
+        assert err.splitlines() == [f"error: utterance bad: {str(bad).replace(name, shown)}: not a RIFF/WAVE file"]
 
     @pytest.mark.parametrize("name, shown", NAMES, ids=["newline", "tab-escape", "line-separator", "non-ascii"])
     def test_missing_wav_path_escaped(self, capsys, small_corpus, tmp_path, name, shown):
-        manifest, bad = one_bad_utterance(tmp_path, small_corpus, name, None)
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, name, None, utterance_id="bad")
         rc, out, err = run(capsys, "learn-scale", "--manifest", manifest, "--scale", "speech", "--out", tmp_path / "s.json")
         assert rc == 2 and out == ""
         assert err.splitlines() == [f"error: {manifest}: missing audio file {str(bad).replace(name, shown)}"]
@@ -1551,7 +1606,7 @@ class TestOneStderrLine:
         assert err.splitlines() == ["usage error: unrecognized arguments: --zz\\nq"]
 
     def test_extract_log_line_escaped(self, small_corpus, pipeline, tmp_path):
-        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "a\nb", b"not audio")
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "a\nb", b"not audio", utterance_id="bad")
         proc = python_child(
             "-m", "warpfilt.cli", "extract", "--manifest", manifest, "--filterbank", pipeline / "fb.json",
             "--out", tmp_path / "feats",
@@ -1559,7 +1614,7 @@ class TestOneStderrLine:
         assert proc.returncode == 2
         shown = str(bad).replace("\n", "\\n")
         assert proc.stderr.splitlines() == [
-            f"ERROR warpfilt.cli: utterance a\\nb: {shown}: not a RIFF/WAVE file",
+            f"ERROR warpfilt.cli: utterance bad: {shown}: not a RIFF/WAVE file",
             "ERROR warpfilt.cli: 1 of 4 utterances failed",
         ]
 

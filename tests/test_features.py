@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -81,6 +83,42 @@ class TestCepstra:
             cepstra(np.zeros((1, 20)), 20)
 
 
+# The stated bound on the deviation of rasta_filter from lfilter or the direct recursion, relative to max|y|.
+RASTA_BOUND = 1e-12
+
+
+def lfilter_input(n_frames):
+    """Normal trajectories with zeros and negative zeros mixed in."""
+    rng = np.random.default_rng(n_frames)
+    x = rng.normal(0.0, 3.0, size=(n_frames, 19))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return x
+
+
+def direct_recursion(x):
+    """y[k] = sum_i RASTA_NUM[i] * x[k - i] - RASTA_DEN[1] * y[k - 1], one frame at a time."""
+    y = np.zeros_like(x)
+    for k in range(len(x)):
+        acc = 0.0
+        for i, b in enumerate(RASTA_NUM):
+            if k - i >= 0:
+                acc = acc + b * x[k - i]
+        if k >= 1:
+            acc = acc - RASTA_DEN[1] * y[k - 1]
+        y[k] = acc
+    return y
+
+
+@st.composite
+def trajectories(draw):
+    """(n, c) arrays, n up to 3,000 frames, each entry one of up to 50 drawn finite values."""
+    shape = (draw(st.integers(0, 3000)), draw(st.integers(1, 3)))
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=1, max_size=50))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(len(values), size=shape)
+    return np.array(values)[picks]
+
+
 class TestRastaFilter:
     def test_dc_rejection(self):
         out = rasta_filter(np.full((600, 2), 5.0))
@@ -104,16 +142,36 @@ class TestRastaFilter:
             y[n] = acc
         assert np.abs(got - y).max() <= 1e-12
 
-    @pytest.mark.parametrize("n_frames", [0, 1, 2, 4, 5, 600])
+    @pytest.mark.parametrize("n_frames", [0, 1])
     def test_bit_identical_to_lfilter(self, n_frames):
-        rng = np.random.default_rng(n_frames)
-        x = rng.normal(0.0, 3.0, size=(n_frames, 19))
-        x[rng.random(x.shape) < 0.1] = 0.0
-        x[rng.random(x.shape) < 0.1] = -0.0
+        """Below two frames the scan takes no step, so the output is lfilter's bit for bit."""
+        x = lfilter_input(n_frames)
+        ref = scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0)
+        assert rasta_filter(x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 2, 4, 5, 600])
+    def test_within_bound_of_lfilter(self, n_frames):
+        x = lfilter_input(n_frames)
         ref = scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0)
         got = rasta_filter(x)
         assert got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
+        assert np.abs(got - ref).max(initial=0.0) <= RASTA_BOUND * np.abs(ref).max(initial=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=trajectories())
+    def test_scan_within_bound_of_direct_recursion(self, x):
+        got = rasta_filter(x)
+        ref = direct_recursion(x)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max(initial=0.0) <= RASTA_BOUND * np.abs(ref).max(initial=0.0)
+
+    def test_ten_minutes_finite_and_within_bound(self):
+        # 60,000 frames at a 10-ms hop: the last scan steps multiply by 0.98**32768, about 1e-288.
+        x = lfilter_input(60_000)[:, :2]
+        got = rasta_filter(x)
+        assert np.all(np.isfinite(got))
+        for ref in (direct_recursion(x), scipy.signal.lfilter(RASTA_NUM, RASTA_DEN, x, axis=0)):
+            assert np.abs(got - ref).max() <= RASTA_BOUND * np.abs(ref).max()
 
 
 class TestAppendDeltas:
