@@ -99,7 +99,7 @@ def _responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float
     return np.exp(log_joint - log_norm[:, None]), float(log_norm.sum())
 
 
-# Frames per statistics block, so per-frame arrays are _BLOCK x C (x D for the initial distances).
+# Frames per statistics block, so per-frame arrays are _BLOCK x C.
 _BLOCK = 1024
 
 
@@ -118,11 +118,11 @@ def _accumulate(x: np.ndarray, weigh) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _kmeans_style_init(x: np.ndarray, n_components: int, rng: "np.random.Generator") -> GmmModel:
     n = x.shape[0]
     centroids = x[rng.choice(n, size=n_components, replace=False)]
+    # Under unit variances the log density is -|x - c|^2 / 2 less a constant: its argmax is the nearest centroid.
+    unit = GmmModel(np.full(n_components, 1.0 / n_components), centroids, np.ones_like(centroids))
 
     def nearest(block):
-        d2 = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.eye(n_components)[d2.argmin(axis=1)], 0.0
-
+        return np.eye(n_components)[component_log_densities(unit, block).argmax(axis=1)], 0.0
     counts, s_x, s_xx, _ = _accumulate(x, nearest)
     global_var = np.maximum(s_xx.sum(axis=0) / n - (s_x.sum(axis=0) / n) ** 2, VARIANCE_FLOOR)
     size = np.maximum(counts, 1.0)

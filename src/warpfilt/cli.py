@@ -285,7 +285,8 @@ def _subsample(entries, fraction: float, seed: int):
 
 
 def _provenance(cfg: RunConfig, manifest_path: str | None) -> dict:
-    prov = {"config": dataclasses.asdict(cfg)}
+    # Without jobs, which changes no result, a document is the same bytes at any --jobs.
+    prov = {"config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "jobs"}}
     if manifest_path is not None:
         prov["manifest_sha256"] = store.file_digest(manifest_path)
     return prov

@@ -342,9 +342,17 @@ def read_features(path: str | Path):
 
 # --- Trials and scores -------------------------------------------------------
 
-def _is_file_name(name: str) -> bool:
-    """Whether an id can name a file and be one stdout field: one printable path component, not '.' or '..'."""
-    return name not in ("", ".", "..") and name.isprintable() and not any(c in name for c in "/\\")
+# The usual file-name limit (NAME_MAX, 255 bytes) less the 5-byte '.wflt' or '.json' an id gets.
+MAX_ID_BYTES = 250
+
+
+def _id_problem(name: str) -> str | None:
+    """Why an id cannot name a file and be one stdout field, or None if it can."""
+    if name in ("", ".", "..") or not name.isprintable() or any(c in name for c in "/\\"):
+        return "must be one path component"
+    if len(name.encode("utf-8")) > MAX_ID_BYTES:
+        return f"must be <= {MAX_ID_BYTES} bytes"
+    return None
 
 
 def _trial_lines(path: str | Path, n_fields: int, what: str):
@@ -358,7 +366,7 @@ def _trial_lines(path: str | Path, n_fields: int, what: str):
             raise ValueError(f"{path}:{lineno}: malformed {what} line")
         key = (parts[0], parts[1])
         if key in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate trial {key}")
+            raise ValueError(f"{path}:{lineno}: duplicate trial {_brief(key)}")
         seen.add(key)
         yield f"{path}:{lineno}", parts
 
@@ -368,8 +376,8 @@ def read_trials(path: str | Path) -> TrialScoreSet:
     trials = []
     for where, parts in _trial_lines(path, 3, "trial"):
         for field, value in zip(("enroll_id", "test_id"), parts):
-            if not _is_file_name(value):
-                raise ValueError(f"{where}: field {field!r} must be one path component, got {value!r}")
+            if problem := _id_problem(value):
+                raise ValueError(f"{where}: field {field!r} {problem}, got {_brief(value)}")
         trials.append(Trial(*parts))
     return TrialScoreSet(trials)
 
@@ -451,8 +459,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             value = item.get(key)
             if (value is not None or key != "speaker_id") and not (isinstance(value, str) and value):
                 raise ValueError(f"{path}: entry {i} field {key!r} must be a non-empty string")
-            if key != "path" and value is not None and not _is_file_name(value):
-                raise ValueError(f"{path}: entry {i} field {key!r} must be one path component, got {value!r}")
+            if key != "path" and value is not None and (problem := _id_problem(value)):
+                raise ValueError(f"{path}: entry {i} field {key!r} {problem}, got {_brief(value)}")
         utt = item["utterance_id"]
         if utt in seen:
             raise ValueError(f"{path}: duplicate utterance id {utt!r}")

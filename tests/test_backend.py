@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpfilt
 from warpfilt.backend import (
     COST_PRESETS,
     VARIANCE_FLOOR,
@@ -498,6 +503,53 @@ class TestBlockStatistics:
         got = _kmeans_style_init(x, self.c, np.random.default_rng(self.seed))
         assert np.array_equal(got.weights, ref.weights)  # the counts of a bit-identical assignment
         assert_models_close(got, ref, rtol=1e-12)
+
+    def test_kmeans_init_near_ties_match_full_array_reference(self):
+        """Frames halfway between two centroids go to the lower one; 1e-9 of the spacing decides.
+
+        The centroids have integer coordinates and equal norms, so the halfway
+        distances are exact in both forms and tie exactly.
+        """
+        centroids = np.array([[5, 0, 0], [4, 3, 0], [3, 4, 0], [0, 5, 0], [0, 0, 5]], dtype=np.float64)
+        c = centroids.shape[0]
+        probes, owners = [], []
+        for a, b in [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4)]:
+            mid = 0.5 * (centroids[a] + centroids[b])
+            step = 1e-9 * (centroids[b] - centroids[a])
+            probes += [mid, mid + step, mid - step]
+            owners += [a, b, a]
+        repeats = _BLOCK // len(probes) + 1  # the probes span two blocks
+        n = c + repeats * len(probes)
+        picked = np.random.default_rng(self.seed).choice(n, size=c, replace=False)
+        rest = np.setdiff1d(np.arange(n), picked)
+        x = np.empty((n, 3))
+        x[picked] = centroids
+        x[rest] = np.tile(probes, (repeats, 1))
+        expected = np.full(n, -1)
+        expected[picked] = np.arange(c)
+        expected[rest] = np.tile(owners, repeats)
+
+        ref, counts = full_kmeans_style_init(x, c, np.random.default_rng(self.seed))
+        assert np.array_equal(counts, np.bincount(expected, minlength=c))
+        got = _kmeans_style_init(x, c, np.random.default_rng(self.seed))
+        assert np.array_equal(got.weights, ref.weights)
+        assert_models_close(got, ref, rtol=1e-12)
+
+    def test_kmeans_init_of_1024_components_within_memory(self):
+        # A 1024-frame block against 1024 centroids of 57 dimensions is 456 MiB as one
+        # (block, C, D) array; the child's 512 MiB address-space limit leaves no room for it.
+        script = (
+            "import resource; from warpfilt.backend import train_ubm; import numpy as np; "
+            "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+            "x = np.random.default_rng(0).normal(size=(12000, 57)); "
+            "model, history = train_ubm(x, 1024, iters=1, seed=0); "
+            "print(model.n_components, bool(np.isfinite(history).all()))"
+        )
+        src = str(Path(warpfilt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert proc.stdout.split() == ["1024", "True"]
 
     def test_em_step_matches_full_array_reference(self):
         x = self.frames()

@@ -394,6 +394,21 @@ class TestTrialsAndScores:
             (read_trials if what == "trial" else read_scores)(path)
         assert str(info.value) == f"{path}:{message.format(what=what)}"
 
+    @pytest.mark.parametrize(
+        "enroll_id, refused",
+        [("\u00e9" * 125, False), ("\u00e9" * 125 + "a", True), ("a" * 250, False)],
+        ids=["250-bytes-of-2-byte-chars", "251-bytes", "250-ascii"],
+    )
+    def test_id_length_counted_in_utf_8_bytes(self, tmp_path, enroll_id, refused):
+        # 250 bytes plus a 5-byte suffix such as '.json' is the usual 255-byte file-name limit.
+        path = tmp_path / "trials.tsv"
+        path.write_text(f"{enroll_id}\tx\ttarget\n", encoding="utf-8")
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(f"{path}:1: field 'enroll_id' must be <= 250 bytes")):
+                read_trials(path)
+        else:
+            assert read_trials(path).trials[0].enroll_id == enroll_id
+
     @pytest.mark.parametrize("reader", [read_trials, read_scores])
     def test_not_utf_8_names_the_file(self, tmp_path, reader):
         path = tmp_path / "lines.tsv"
@@ -491,6 +506,15 @@ class TestManifest:
         path = self.write_mutated(tmp_path, field, value)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_manifest(path)
+
+    @pytest.mark.parametrize("field", ["utterance_id", "speaker_id"])
+    def test_id_too_long_for_a_file_name(self, tmp_path, field):
+        path = self.write_mutated(tmp_path, field, "s" * 251)
+        with pytest.raises(ValueError) as info:
+            load_manifest(path)
+        assert str(info.value) == (
+            f"{path}: entry 0 field {field!r} must be <= 250 bytes, got '{'s' * 39}... (253 characters)"
+        )
 
     def test_null_speaker_id_is_absent(self, tmp_path):
         assert load_manifest(self.write_mutated(tmp_path, "speaker_id", None)).speakers() == {}
