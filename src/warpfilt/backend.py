@@ -40,8 +40,24 @@ class GmmModel:
                 raise ValueError(f"{name} must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        if np.any(self.weights < 0.0):
+            raise ValueError("weights must be non-negative")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):
             raise ValueError("variances below floor")
+        bad = np.flatnonzero(~np.isfinite(self.log_density_constants()))
+        if bad.size:
+            raise ValueError(
+                f"component {bad[0] + 1} log-density constant is not finite; its means are too large for its variances"
+            )
+
+    def log_density_constants(self) -> np.ndarray:
+        """Per component, sum(mean^2/var) + sum(log var) + D log(2 pi): the part of -2 log N(x) free of x."""
+        with np.errstate(over="ignore"):
+            return (
+                (self.means**2 * (1.0 / self.variances)).sum(axis=1)
+                + np.log(self.variances).sum(axis=1)
+                + self.dim * np.log(2.0 * np.pi)
+            )
 
     @property
     def n_components(self) -> int:
@@ -57,20 +73,19 @@ def component_log_densities(model: GmmModel, x: np.ndarray) -> np.ndarray:
 
     The quadratic form is expanded as sum(x^2/var) - 2 sum(x*mean/var) + sum(mean^2/var),
     so all components are evaluated with two matrix products and no (N, C, D) array.
+    A frame too large for the model, whose densities overflow, raises a ValueError.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.dim:
-        raise ValueError("feature dimension mismatch")
+        raise ValueError(f"feature dimension {x.shape[1]} differs from model dimension {model.dim}")
     precisions = 1.0 / model.variances
-    const = (
-        (model.means**2 * precisions).sum(axis=1)
-        + np.log(model.variances).sum(axis=1)
-        + model.dim * np.log(2.0 * np.pi)
-    )
-    out = (x * x) @ precisions.T
-    out -= x @ (2.0 * model.means * precisions).T
-    out += const
-    out *= -0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (x * x) @ precisions.T
+        out -= x @ (2.0 * model.means * precisions).T
+        out += model.log_density_constants()
+        out *= -0.5
+    if not np.isfinite(out).all():
+        raise ValueError("log densities overflow; features too large for the model")
     return out
 
 

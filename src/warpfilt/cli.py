@@ -400,16 +400,21 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
         spec, mask = utterance_spectra(seg, cfg, n_fft)
         return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
 
+    # One pass in manifest order, so a failure is named as every other command names it.
+    entries = [e for e in manifest.entries if e.speaker_id is not None]
+    per_speaker = {speaker: [] for speaker in speakers}
+    for entry, energies in zip(entries, _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_energies)):
+        per_speaker[entry.speaker_id].append(energies)
     groups = [{} for _ in fbs]
-    for speaker, entries in speakers.items():
-        per_utterance = list(_utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_energies))
+    for speaker, per_utterance in per_speaker.items():
         for i, group in enumerate(groups):
             group[speaker] = np.vstack([energies[i] for energies in per_utterance])
     variants = {}
     for doc_path, group in zip(args.filterbanks, groups):
-        label = Path(doc_path).stem
-        if label in variants:
-            label = f"{label}#{sum(1 for v in variants if v.split('#')[0] == label) + 1}"
+        stem = label = Path(doc_path).stem
+        copy = 2
+        while label in variants:
+            label, copy = f"{stem}#{copy}", copy + 1
         variants[label] = group
     report = analysis.f_ratio_report(variants)
     print(report.to_text())
@@ -495,7 +500,15 @@ def cmd_score(args, cfg: RunConfig) -> int:
             path = Path(args.models) / f"{t.enroll_id}.json"
             if not path.exists():
                 raise ValueError(f"no enrolled model for {t.enroll_id}")
-            _, enroll_models[t.enroll_id] = _load_document(path, "gmm")
+            _, model = _load_document(path, "gmm")
+            # Mean-only MAP copies the UBM's weights and variances, exactly through the JSON round trip.
+            if not (
+                model.means.shape == ubm.means.shape
+                and np.array_equal(model.weights, ubm.weights)
+                and np.array_equal(model.variances, ubm.variances)
+            ):
+                raise ValueError(f"{path}: not adapted from {args.ubm}: its component count, weights or variances differ")
+            enroll_models[t.enroll_id] = model
 
     def one(test_id):
         models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]

@@ -110,39 +110,35 @@ def triangular_responses(layout: FilterbankLayout) -> Filterbank:
     return Filterbank(layout, responses, "triangular")
 
 
-def subband_covariance(log_spectra, layout: FilterbankLayout, taper: bool = False) -> list[np.ndarray]:
-    """Sample covariance of every subband of a layout, Hamming-tapered if taper, one per filter.
+def subband_covariance(log_spectra, layout: FilterbankLayout) -> list[np.ndarray]:
+    """Sample covariance of every subband of a layout, one per filter.
 
-    log_spectra is an iterable of batches of log spectra, one frame per row; one
-    batch per utterance, say. Rows are copied into a block of _BLOCK_FRAMES rows, and
-    each full block is merged into the statistics with the pairwise update of Chan,
-    Golub & LeVeque (1979). So the result depends on the sequence of rows only, not
-    on how it was split into batches, and memory holds one block, not the corpus.
+    log_spectra is an iterable of batches of log spectra, one frame per row; one batch
+    per utterance, say. Rows are copied into a block of _BLOCK_FRAMES rows. Each full
+    block is centred once, in place, on its mean, every subband scatter is taken from
+    it, and it is merged into one full-band running mean with the pairwise update of
+    Chan, Golub & LeVeque (1979). So the result depends on the sequence of rows only,
+    not on how it was split into batches, and memory holds one block, not the corpus.
     Up to _BLOCK_FRAMES rows give the two-pass covariance exactly.
     """
     bands = [layout.subband(j) for j in range(1, layout.n_filters + 1)]
-    windows = [hamming_window(hi - lo + 1) if taper else None for lo, hi in bands]
-    means = [None] * len(bands)
-    scatters = [None] * len(bands)
+    mean = np.zeros(layout.n_bins)
+    scatters = [0.0] * len(bands)
     block = np.empty((_BLOCK_FRAMES, layout.n_bins))
     filled = folded = 0
 
     def fold():
         rows = block[:filled]
         n = folded + filled
-        for j, ((lo, hi), window) in enumerate(zip(bands, windows)):
-            sliced = rows[:, lo : hi + 1]
-            if window is not None:
-                sliced = sliced * window
-            mean = sliced.mean(axis=0)
-            centered = sliced - mean
-            scatter = centered.T @ centered
-            if folded == 0:
-                means[j], scatters[j] = mean, scatter
-                continue
-            delta = mean - means[j]
-            means[j] = means[j] + delta * (filled / n)
-            scatters[j] = scatters[j] + scatter + np.outer(delta, delta) * (folded * filled / n)
+        block_mean = rows.mean(axis=0)
+        rows -= block_mean
+        delta = block_mean - mean
+        mean[:] += delta * (filled / n)
+        for j, (lo, hi) in enumerate(bands):
+            sliced, d = rows[:, lo : hi + 1], delta[lo : hi + 1]
+            scatters[j] = scatters[j] + sliced.T @ sliced
+            if folded:
+                scatters[j] += np.outer(d, d) * (folded * filled / n)
         return n
 
     for batch in log_spectra:
@@ -185,16 +181,20 @@ def learn_pca_filterbank(log_spectra, layout: FilterbankLayout, kind: str) -> Fi
     """Per-filter dominant PCA basis of subband log spectra, zero-padded to full band.
 
     log_spectra is an iterable of batches, as subband_covariance takes. kind is one of
-    the PCA SHAPE_KINDS: the windowed kinds taper each subband with a Hamming window,
-    and "windowed-pca-normalized" scales each response to unit peak. Degenerate
+    the PCA SHAPE_KINDS: the windowed kinds taper each subband with a Hamming window w,
+    which turns the subband covariance C into w w^T * C elementwise, and
+    "windowed-pca-normalized" scales each response to unit peak. Degenerate
     (zero-variance) subbands fall back to the triangular response.
     """
     if kind == "triangular" or kind not in SHAPE_KINDS:
         raise ValueError(f"not a PCA shape kind: {kind!r}")
-    covariances = subband_covariance(log_spectra, layout, taper=kind != "pca")
+    covariances = subband_covariance(log_spectra, layout)
     responses = np.zeros((layout.n_filters, layout.n_bins))
     for j, covariance in enumerate(covariances, start=1):
         lo, hi = layout.subband(j)
+        if kind != "pca":
+            w = hamming_window(hi - lo + 1)
+            covariance = w[:, None] * covariance * w
         try:
             responses[j - 1, lo : hi + 1] = pca_first_basis(covariance)
         except ValueError:

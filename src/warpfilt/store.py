@@ -337,6 +337,10 @@ def read_features(path: str | Path):
         np.frombuffer(raw[16 : 16 + mask_len], dtype=np.uint8), bitorder="little"
     )[:n_frames].astype(bool)
     vectors = np.frombuffer(raw[16 + mask_len :], dtype="<f8").reshape(n_frames, dim)
+    # The Gaussian backend squares every value, so a value whose square overflows is refused here, by file.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.square(vectors)).all():
+            raise ValueError(f"{path}: feature values must have finite squares")
     return FeatureMatrix(vectors.copy(), mask, Path(path).stem)
 
 

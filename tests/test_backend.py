@@ -324,6 +324,11 @@ class TestGmmModelValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             GmmModel(np.array([0.6, 0.6]), np.zeros((2, 2)), np.ones((2, 2)))
 
+    def test_negative_weight_rejected(self):
+        # Summing to 1 is not enough: the log of a negative weight is NaN.
+        with pytest.raises(ValueError, match="^weights must be non-negative$"):
+            GmmModel(np.array([1.5, -0.5]), np.zeros((2, 2)), np.ones((2, 2)))
+
     def test_variance_floor(self):
         with pytest.raises(ValueError, match="floor"):
             GmmModel(np.array([1.0]), np.zeros((1, 2)), np.full((1, 2), 1e-6))
@@ -335,6 +340,26 @@ class TestGmmModelValidation:
         params[field].flat[0] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GmmModel(**params)
+
+    def test_log_density_constant_must_be_finite(self):
+        means = np.array([[0.0, 0.0], [1e308, 0.0]])
+        with pytest.raises(ValueError, match="^component 2 log-density constant is not finite"):
+            GmmModel(np.array([0.5, 0.5]), means, np.ones((2, 2)))
+
+    def test_overflowing_log_densities_refused(self):
+        # (1e153)^2 is finite; divided by the variance floor it is not.
+        model = GmmModel(np.array([1.0]), np.zeros((1, 2)), np.full((1, 2), VARIANCE_FLOOR))
+        x = np.array([[0.0, 0.0], [1e153, 0.0]])
+        for fn in (component_log_densities, log_likelihoods):
+            with pytest.raises(ValueError, match="^log densities overflow"):
+                fn(model, x)
+        with pytest.raises(ValueError, match="^log densities overflow"):
+            score_segment([model], model, feature_matrix(x))
+
+    def test_dimension_mismatch_names_both(self):
+        model = GmmModel(np.array([1.0]), np.zeros((1, 3)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="^feature dimension 2 differs from model dimension 3$"):
+            component_log_densities(model, np.zeros((4, 2)))
 
     def test_trial_label_validation(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ import warpfilt
 from warpfilt import cli, dsp, sad, store
 from warpfilt.cli import RunConfig, load_config, main
 from warpfilt.dsp import AudioSegment
+from warpfilt.backend import GmmModel
 from warpfilt.features import FeatureMatrix
 from warpfilt.filterbank import place_filter_edges, triangular_responses
 from warpfilt.scale import mel_warping_scale
@@ -441,6 +442,44 @@ class TestFratio:
         both = columns(tri_filterbank, pipeline / "fb.json")
         assert both["tri"] == columns(tri_filterbank, tri_filterbank)["tri"]
         assert both["fb"] == columns(pipeline / "fb.json", pipeline / "fb.json")["fb"]
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_named_in_manifest_order(self, capsys, small_corpus, pipeline, tri_filterbank, tmp_path, jobs):
+        # Speakers interleaved: the first bad entry of the manifest is the second speaker's.
+        by_id = {e.utterance_id: e for e in load_manifest(small_corpus["manifest"]).entries}
+        head = ["spk0_u00", "spk1_u00", "spk0_u01"]
+        entries = [by_id[i] for i in head] + [e for i, e in by_id.items() if i not in head]
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(b"not audio")
+        for entry in entries[1:3]:
+            entry.path = str(bad)
+        save_manifest(CorpusManifest(entries, 16000), tmp_path / "m.json")
+        first = load_manifest(tmp_path / "m.json").entries[1]
+        commands = [
+            ["fratio", "--filterbanks", tri_filterbank, pipeline / "fb.json", "--out", tmp_path / "f.tsv"],
+            ["learn-scale", "--scale", "speech", "--out", tmp_path / "s.json"],
+        ]
+        for command in commands:
+            rc, out, err = run(capsys, command[0], "--manifest", tmp_path / "m.json", *command[1:], "--jobs", jobs)
+            assert rc == 2 and out == "", command[0]
+            assert err.splitlines() == [f"error: utterance spk1_u00: {first.path}: not a RIFF/WAVE file"], command[0]
+
+    @pytest.mark.parametrize(
+        "names, labels",
+        [(["x/a#3", "x/a", "y/a"], ["a#3", "a", "a#2"]), (["x/fb", "x/fb"], ["fb", "fb#2"])],
+        ids=["taken-suffix", "same-path"],
+    )
+    def test_variant_labels_never_collide(self, capsys, small_corpus, pipeline, tmp_path, names, labels):
+        paths = [tmp_path / f"{name}.json" for name in names]
+        for path in paths:
+            path.parent.mkdir(exist_ok=True)
+            shutil.copyfile(pipeline / "fb.json", path)
+        tsv = tmp_path / "fratio.tsv"
+        rc, out, err = run(capsys, "fratio", "--manifest", small_corpus["manifest"], "--filterbanks", *paths, "--out", tsv)
+        assert rc == 0, err
+        assert tsv.read_text().splitlines()[0].split("\t") == ["filter", *labels, "winner"]
+        assert out.splitlines()[0].split() == ["Filter", *labels]
 
 
 class TestOneFrontEndPass:
@@ -1125,6 +1164,107 @@ class TestFeatureInputs:
         assert rc == 2
         assert err.splitlines() == [f"error: {files[6]}: dim 30 differs from dim 57 of {files[0]}"]
         assert out == "" and not (tmp_path / "ubm.json").exists()
+
+
+def with_feature_value(path, value):
+    """Rewrite the feature file at path with every value of its first speech frame set to value."""
+    fm = read_features(path)
+    vectors = fm.vectors.copy()
+    vectors[np.flatnonzero(fm.mask)[0]] = value
+    write_features(FeatureMatrix(vectors, fm.mask), path)
+
+
+class TestOverflowingInputs:
+    """A value that overflows the Gaussian arithmetic ends a command with exit 2 and one line, never NaN scores."""
+
+    def test_ubm_mean_1e308_named_by_score_and_enroll(self, capsys, small_corpus, pipeline, tmp_path):
+        obj = json.loads((pipeline / "ubm.json").read_text())
+        obj["payload"]["means"][0][0] = 1e308
+        obj["provenance"]["payload_sha256"] = store._payload_digest(obj["payload"])
+        ubm = tmp_path / "ubm.json"
+        ubm.write_text(json.dumps(obj))
+        commands = [
+            ["score", "--trials", small_corpus["trials"], "--models", pipeline / "models", "--features", pipeline / "feats",
+             "--out", tmp_path / "scores.tsv"],
+            ["enroll", "--manifest", small_corpus["enroll"], "--features", pipeline / "feats", "--out", tmp_path / "models"],
+        ]
+        for command in commands:
+            rc, out, err = run(capsys, *command, "--ubm", ubm)
+            assert rc == 2 and out == "", command[0]
+            assert err.splitlines() == [
+                f"error: {ubm}: component 1 log-density constant is not finite; its means are too large for its variances"
+            ], command[0]
+        assert not (tmp_path / "scores.tsv").exists() and not (tmp_path / "models").exists()
+
+    def score(self, capsys, small_corpus, pipeline, feats, tmp_path):
+        return run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", pipeline / "models",
+            "--ubm", pipeline / "ubm.json", "--features", feats, "--out", tmp_path / "scores.tsv",
+        )
+
+    def test_feature_value_1e200_named_by_score_and_train_ubm(self, capsys, small_corpus, pipeline, tmp_path):
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        test_id = small_corpus["trials"].read_text().split("\t")[1]
+        path = feats / f"{test_id}.wflt"
+        with_feature_value(path, 1e200)
+        rc, out, err = self.score(capsys, small_corpus, pipeline, feats, tmp_path)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: test segment {test_id}: {path}: feature values must have finite squares"]
+        rc, out, err = run(capsys, "train-ubm", "--features", feats, "--out", tmp_path / "ubm.json", "--ubm-components", 4)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: {path}: feature values must have finite squares"]
+        assert not (tmp_path / "scores.tsv").exists() and not (tmp_path / "ubm.json").exists()
+
+    def test_feature_value_with_overflowing_log_density_named_by_score(self, capsys, small_corpus, pipeline, tmp_path):
+        # (1.3e154)^2 is finite, but the sum over dimensions of its squares over the variances is not.
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        test_id = small_corpus["trials"].read_text().split("\t")[1]
+        with_feature_value(feats / f"{test_id}.wflt", 1.3e154)
+        rc, out, err = self.score(capsys, small_corpus, pipeline, feats, tmp_path)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: test segment {test_id}: log densities overflow; features too large for the model"]
+        assert not (tmp_path / "scores.tsv").exists()
+
+
+class TestScoreChecksModelsAgainstUbm:
+    """Mean-only MAP copies the UBM's weights and variances, so score refuses a model that does not hold them."""
+
+    @pytest.fixture(scope="class")
+    def other_ubms(self, pipeline, tmp_path_factory):
+        root = tmp_path_factory.mktemp("other_ubms")
+        for name, flags in {"seed1": ["--seed", "1", "--ubm-components", "8"], "four": ["--ubm-components", "4"]}.items():
+            assert main(["train-ubm", "--features", str(pipeline / "feats"), "--out", str(root / f"{name}.json"), *flags]) == 0
+        return root
+
+    @pytest.mark.parametrize("name", ["seed1", "four"])
+    def test_model_of_another_ubm_refused_before_features(
+        self, capsys, monkeypatch, small_corpus, pipeline, other_ubms, tmp_path, name
+    ):
+        read = count_calls(monkeypatch, store, "read_features")
+        ubm = other_ubms / f"{name}.json"
+        rc, out, err = run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", pipeline / "models", "--ubm", ubm,
+            "--features", pipeline / "feats", "--out", tmp_path / "scores.tsv",
+        )
+        model = pipeline / "models" / f"{small_corpus['trials'].read_text().split(chr(9))[0]}.json"
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: {model}: not adapted from {ubm}: its component count, weights or variances differ"
+        ]
+        assert read == [] and not (tmp_path / "scores.tsv").exists()
+
+    def test_enroll_names_both_feature_dimensions(self, capsys, small_corpus, pipeline, tmp_path):
+        dim = read_features(next((pipeline / "feats").glob("*.wflt"))).dim
+        ubm = tmp_path / "ubm5.json"
+        store.save_model(store.gmm_document(GmmModel(np.array([0.5, 0.5]), np.zeros((2, 5)), np.ones((2, 5))), 0, 0), ubm)
+        rc, out, err = run(
+            capsys, "enroll", "--manifest", small_corpus["enroll"], "--features", pipeline / "feats", "--ubm", ubm,
+            "--out", tmp_path / "models",
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: speaker spk0: feature dimension {dim} differs from model dimension 5"]
 
 
 class TestNFftRule:

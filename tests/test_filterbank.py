@@ -319,17 +319,25 @@ def mel_layout():
     return place_filter_edges(mel_warping_scale(8000.0), 20, 512, 16000)
 
 
+def tapered(covariance, window):
+    """The covariance of the window-tapered subband: w w^T * C elementwise."""
+    return covariance if window is None else window[:, None] * covariance * window
+
+
 class TestSubbandStatistics:
     @pytest.mark.parametrize("taper", [False, True])
     def test_one_block_equals_subband_covariance(self, taper):
         layout = mel_layout()
         log_specs = np.random.default_rng(20).normal(size=(300, layout.n_bins))
-        covariances = subband_covariance([log_specs[:120], log_specs[120:]], layout, taper)
+        covariances = subband_covariance([log_specs[:120], log_specs[120:]], layout)
         for j, covariance in enumerate(covariances, start=1):
             lo, hi = layout.subband(j)
             window = hamming_window(hi - lo + 1) if taper else None
             expected, _ = two_pass_covariance(log_specs, (lo, hi), window)
-            assert np.array_equal(covariance, expected)
+            if taper:
+                np.testing.assert_allclose(tapered(covariance, window), expected, rtol=1e-12, atol=1e-13)
+            else:
+                assert np.array_equal(covariance, expected)
 
     @pytest.mark.parametrize("taper", [False, True])
     def test_blocks_match_two_pass(self, monkeypatch, taper):
@@ -337,19 +345,19 @@ class TestSubbandStatistics:
         layout = mel_layout()
         log_specs = 50.0 + np.random.default_rng(21).normal(size=(1000, layout.n_bins))
         monkeypatch.setattr(filterbank, "_BLOCK_FRAMES", 7)
-        covariances = subband_covariance([log_specs], layout, taper)
+        covariances = subband_covariance([log_specs], layout)
         for j, covariance in enumerate(covariances, start=1):
             lo, hi = layout.subband(j)
             window = hamming_window(hi - lo + 1) if taper else None
             expected, _ = two_pass_covariance(log_specs, (lo, hi), window)
-            np.testing.assert_allclose(covariance, expected, rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(tapered(covariance, window), expected, rtol=1e-12, atol=1e-13)
 
     def test_independent_of_batch_split(self, monkeypatch):
         layout = mel_layout()
         log_specs = np.random.default_rng(22).normal(size=(500, layout.n_bins))
         monkeypatch.setattr(filterbank, "_BLOCK_FRAMES", 64)
-        whole = subband_covariance([log_specs], layout, True)
-        pieces = subband_covariance(np.split(log_specs, [1, 3, 70, 200, 201, 455]), layout, True)
+        whole = subband_covariance([log_specs], layout)
+        pieces = subband_covariance(np.split(log_specs, [1, 3, 70, 200, 201, 455]), layout)
         assert len(whole) == len(pieces) == layout.n_filters
         for a, b in zip(whole, pieces):
             assert np.array_equal(a, b)
@@ -362,6 +370,21 @@ class TestSubbandStatistics:
         blocked = learn_pca_filterbank([log_specs], layout, "windowed-pca-normalized")
         assert blocked.shape_kind == whole.shape_kind == "windowed-pca-normalized"
         np.testing.assert_allclose(blocked.responses, whole.responses, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["windowed-pca", "windowed-pca-normalized"])
+    def test_windowed_matches_tapered_frames(self, kind):
+        # The reference tapers every frame of a subband; the filterbank tapers its covariance.
+        layout = mel_layout()
+        rng = np.random.default_rng(25)
+        levels = rng.normal(size=(400, 1)) * np.linspace(1.0, 2.0, layout.n_bins)
+        log_specs = levels + 0.3 * rng.normal(size=(400, layout.n_bins))
+        fb = learn_pca_filterbank([log_specs], layout, kind)
+        for j in range(1, layout.n_filters + 1):
+            lo, hi = layout.subband(j)
+            expected = pca_first_basis(two_pass_covariance(log_specs, (lo, hi), hamming_window(hi - lo + 1))[0])
+            if kind == "windowed-pca-normalized":
+                expected = expected / expected.max()
+            np.testing.assert_allclose(fb.responses[j - 1, lo : hi + 1], expected, rtol=0.0, atol=1e-12)
 
     def test_memory_holds_one_block(self, monkeypatch):
         layout = mel_layout()

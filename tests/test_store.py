@@ -306,6 +306,18 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match="magic"):
             read_features(path)
 
+    @pytest.mark.parametrize("value", [1e200, -1e155, np.nan])
+    def test_value_with_non_finite_square_named(self, tmp_path, value):
+        fm = self.make(5, 3)
+        path = tmp_path / "big.wflt"
+        write_features(fm, path)
+        raw = bytearray(path.read_bytes())
+        at = 16 + 1 + (2 * 3 + 1) * 8  # header, one mask byte, then row 2, column 1
+        raw[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: feature values must have finite squares$"):
+            read_features(path)
+
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "trunc.wflt"
         write_features(self.make(5, 3), path)
