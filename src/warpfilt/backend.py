@@ -103,13 +103,24 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(terms.sum(axis=1)) + a_max
 
 
+def _log_joint(model: GmmModel, x: np.ndarray) -> np.ndarray:
+    """log weight + log density per frame and component, shape (N, C).
+
+    A weight of 0 marks a dead component: its log weight is -inf, so it adds nothing
+    to a likelihood and gets no responsibility.
+    """
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)
+    return log_weights[None, :] + component_log_densities(model, x)
+
+
 def log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Per-frame mixture log likelihoods."""
-    return _logsumexp(np.log(model.weights)[None, :] + component_log_densities(model, x))
+    return _logsumexp(_log_joint(model, x))
 
 
 def _responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    log_joint = np.log(model.weights)[None, :] + component_log_densities(model, x)
+    log_joint = _log_joint(model, x)
     log_norm = _logsumexp(log_joint)
     return np.exp(log_joint - log_norm[:, None]), float(log_norm.sum())
 

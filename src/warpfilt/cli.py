@@ -98,6 +98,33 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
     return RunConfig(**values)
 
 
+# The fields each command reads, some only for some scales or shapes (README's "Config file"
+# table); they make its flags and the provenance of the documents it writes.
+_FRONT_END = ("frame_ms", "hop_ms", "preemph")
+READS = {
+    "learn-scale": ("scale", *_FRONT_END, "n_filters", "subsample_fraction", "seed", "jobs",
+                    "pitch_f_min_hz", "pitch_f_max_hz", "voicing_threshold"),
+    "learn-filterbank": ("shape", "n_filters", *_FRONT_END, "subsample_fraction", "seed", "jobs"),
+    "extract": (*_FRONT_END, "n_ceps", "delta_window", "rasta_enabled", "cmvn_enabled", "jobs"),
+    "fratio": (*_FRONT_END, "jobs"),
+    "train-ubm": ("ubm_components", "em_iters", "seed"),
+    "enroll": ("relevance",),
+    "score": ("jobs",),
+    "evaluate": ("cost_preset",),
+}
+
+# The fields with a flag, --name-with-dashes, and its argparse options.
+_FLAGS = {
+    "scale": dict(choices=sorted(SCALE_FLAGS)),
+    "shape": dict(choices=sorted(SHAPE_FLAGS)),
+    "cost_preset": dict(choices=sorted(backend.COST_PRESETS)),
+    **dict.fromkeys(["n_filters", "ubm_components", "em_iters"], dict(type=int)),
+    **dict.fromkeys(["subsample_fraction", "relevance"], dict(type=float)),
+    "seed": dict(type=int, help=f"random seed (default {RunConfig.seed})"),
+    "jobs": dict(type=int, help=f"parallel workers over utterances or test segments (>= 1, default {RunConfig.jobs})"),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -284,9 +311,9 @@ def _subsample(entries, fraction: float, seed: int):
     return [entries[i] for i in idx]
 
 
-def _provenance(cfg: RunConfig, manifest_path: str | None) -> dict:
-    # Without jobs, which changes no result, a document is the same bytes at any --jobs.
-    prov = {"config": {k: v for k, v in dataclasses.asdict(cfg).items() if k != "jobs"}}
+def _provenance(cfg: RunConfig, command: str, manifest_path: str | None) -> dict:
+    # The fields the command reads, without jobs, which changes no result: a document is the same bytes at any --jobs.
+    prov = {"config": {k: getattr(cfg, k) for k in READS[command] if k != "jobs"}}
     if manifest_path is not None:
         prov["manifest_sha256"] = store.file_digest(manifest_path)
     return prov
@@ -315,7 +342,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
         avg = scale.average_ltas(list(_utterance_pass(entries, sr, cfg.jobs, ltas)))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
         warping = scale.build_warping_scale(partition, avg.bin_hz, sr / 2.0, kind)
-    doc = store.scale_document(warping, sr, n_fft, _provenance(cfg, args.manifest))
+    doc = store.scale_document(warping, sr, n_fft, _provenance(cfg, "learn-scale", args.manifest))
     store.save_model(doc, out)
     for f_hz, w in zip(warping.knots_hz, warping.knots_warped):
         print(f"{float(f_hz)!r}\t{float(w)!r}")
@@ -348,7 +375,7 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
         log_spectra = _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
         fb = filterbank.learn_pca_filterbank(log_spectra, layout, shape_kind)
     manifest_path = args.manifest if shape_kind != "triangular" else None
-    store.save_model(store.filterbank_document(fb, _provenance(cfg, manifest_path)), out)
+    store.save_model(store.filterbank_document(fb, _provenance(cfg, "learn-filterbank", manifest_path)), out)
     print(f"filters\t{fb.n_filters}")
     print(f"shape\t{fb.shape_kind}")
     logger.info("wrote %s filterbank to %s", fb.shape_kind, out)
@@ -450,7 +477,7 @@ def cmd_train_ubm(args, cfg: RunConfig) -> int:
     _refuse_existing([out], args.overwrite)
     frames = _speech_frames(list(_feature_files(args.features).values()))
     model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
-    prov = _provenance(cfg, None)
+    prov = _provenance(cfg, "train-ubm", None)
     prov["em_log_likelihoods"] = [float(v) for v in history]
     store.save_model(store.gmm_document(model, 0, 0, prov), out)
     print(f"components\t{model.n_components}")
@@ -478,7 +505,7 @@ def cmd_enroll(args, cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     with _directory_lock(outdir):
         for speaker, model, n_frames in adapted:
-            store.save_model(store.gmm_document(model, 0, 0, _provenance(cfg, args.manifest)), outdir / f"{speaker}.json")
+            store.save_model(store.gmm_document(model, 0, 0, _provenance(cfg, "enroll", args.manifest)), outdir / f"{speaker}.json")
             print(f"{speaker}\t{n_frames}")
     return EXIT_OK
 
@@ -552,92 +579,65 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 # --- Parser --------------------------------------------------------------------
 
 def _config_from_args(args) -> RunConfig:
-    """RunConfig from --config and every flag of the subcommand that is named after a config field."""
-    fields = (f.name for f in dataclasses.fields(RunConfig))
-    overrides = {name: getattr(args, name) for name in fields if hasattr(args, name)}
-    return load_config(getattr(args, "config", None), overrides)
-
-
-def _add_common(p, *, jobs=True, seed=True):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    if seed:
-        p.add_argument("--seed", type=int, help=f"random seed (default {RunConfig.seed})")
-    if jobs:
-        p.add_argument("--jobs", type=int, help=f"parallel workers over utterances or test segments (>= 1, default {RunConfig.jobs})")
-    p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
+    """RunConfig from --config and the subcommand's flags; load_config skips a flag not given (None)."""
+    return load_config(args.config, {name: getattr(args, name) for name in READS[args.command] if name in _FLAGS})
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="warpfilt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("learn-scale", help="learn a frequency warping scale from a corpus")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("learn-scale", cmd_learn_scale, "learn a frequency warping scale from a corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--scale", choices=sorted(SCALE_FLAGS))
-    p.add_argument("--n-filters", dest="n_filters", type=int)
-    p.add_argument("--subsample-fraction", dest="subsample_fraction", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_learn_scale)
 
-    p = sub.add_parser("learn-filterbank", help="place filters on a scale; learn PCA shapes")
+    p = command("learn-filterbank", cmd_learn_filterbank, "place filters on a scale; learn PCA shapes")
     p.add_argument("--manifest", help="corpus manifest (required for PCA shapes)")
     p.add_argument("--scale-doc", required=True, help="warping-scale document")
     p.add_argument("--out", required=True)
-    p.add_argument("--shape", choices=sorted(SHAPE_FLAGS))
-    p.add_argument("--n-filters", dest="n_filters", type=int)
-    p.add_argument("--subsample-fraction", dest="subsample_fraction", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_learn_filterbank)
 
-    p = sub.add_parser("extract", help="extract cepstral features for every utterance")
+    p = command("extract", cmd_extract, "extract cepstral features for every utterance")
     p.add_argument("--manifest", required=True)
     p.add_argument("--filterbank", required=True)
     p.add_argument("--out", required=True, help="output directory for .wflt files")
-    _add_common(p)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("fratio", help="per-filter F-ratio comparison of filterbank variants")
+    p = command("fratio", cmd_fratio, "per-filter F-ratio comparison of filterbank variants")
     p.add_argument("--manifest", required=True, help="manifest with speaker_ids")
     p.add_argument("--filterbanks", nargs="+", required=True)
     p.add_argument("--out", help="optional TSV output path")
-    _add_common(p)
-    p.set_defaults(func=cmd_fratio)
 
-    p = sub.add_parser("train-ubm", help="train the universal background model")
+    p = command("train-ubm", cmd_train_ubm, "train the universal background model")
     p.add_argument("--features", required=True, help="directory of .wflt files")
     p.add_argument("--out", required=True)
-    p.add_argument("--ubm-components", dest="ubm_components", type=int)
-    p.add_argument("--em-iters", dest="em_iters", type=int)
-    _add_common(p, jobs=False)
-    p.set_defaults(func=cmd_train_ubm)
 
-    p = sub.add_parser("enroll", help="MAP-adapt a model per speaker")
+    p = command("enroll", cmd_enroll, "MAP-adapt a model per speaker")
     p.add_argument("--manifest", required=True, help="manifest with speaker_ids")
     p.add_argument("--features", required=True)
     p.add_argument("--ubm", required=True)
     p.add_argument("--out", required=True, help="output directory for speaker models")
-    p.add_argument("--relevance", type=float)
-    _add_common(p, jobs=False, seed=False)
-    p.set_defaults(func=cmd_enroll)
 
-    p = sub.add_parser("score", help="score a trial list with enrolled models")
+    p = command("score", cmd_score, "score a trial list with enrolled models")
     p.add_argument("--trials", required=True)
     p.add_argument("--models", required=True, help="directory of enrolled speaker models")
     p.add_argument("--ubm", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="score file to write")
-    _add_common(p, seed=False)
-    p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("evaluate", help="EER / minDCF / DET points from a score file")
+    p = command("evaluate", cmd_evaluate, "EER / minDCF / DET points from a score file")
     p.add_argument("--scores", required=True)
     p.add_argument("--fuse-with", dest="fuse_with", help="second score file for equal-weight fusion")
-    p.add_argument("--cost-preset", dest="cost_preset", choices=sorted(backend.COST_PRESETS))
     p.add_argument("--det-out", dest="det_out", help="write DET sweep points here")
-    _add_common(p, jobs=False, seed=False)
-    p.set_defaults(func=cmd_evaluate)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for field in (f for f in READS[name] if f in _FLAGS):
+            p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
+        p.add_argument("--overwrite", action="store_true", help="replace existing outputs")
     return parser
 
 
@@ -654,6 +654,9 @@ def main(argv=None) -> int:
         return args.func(args, _config_from_args(args))
     except (ValueError, OSError) as err:
         print(f"error: {_printable(err)}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as err:
+        print(f"error: out of memory: {_printable(err)}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -370,6 +370,37 @@ class TestGmmModelValidation:
         assert log_likelihoods(model, np.zeros((7, 3))).shape == (7,)
 
 
+class TestZeroWeightComponents:
+    """A weight of 0 marks a dead component: its log weight is -inf and it gets no responsibility.
+
+    RuntimeWarnings are errors under the test configuration, so each test also checks that none is raised.
+    """
+
+    def models(self):
+        means = np.array([[0.0, 0.0], [3.0, -1.0]])
+        variances = np.array([[1.0, 2.0], [0.5, 1.0]])
+        return GmmModel([1.0, 0.0], means, variances), GmmModel([1.0], means[:1], variances[:1])
+
+    def test_log_likelihoods_equal_the_live_component_alone(self):
+        dead, alive = self.models()
+        x = np.random.default_rng(30).normal(size=(50, 2))
+        np.testing.assert_array_equal(log_likelihoods(dead, x), log_likelihoods(alive, x))
+
+    def test_map_keeps_dead_mean_and_adapts_the_live_one(self):
+        dead, alive = self.models()
+        x = np.random.default_rng(31).normal(size=(50, 2))
+        adapted = map_adapt_means(dead, x, relevance=0.0)
+        assert np.array_equal(adapted.means[1], dead.means[1])
+        np.testing.assert_allclose(adapted.means[:1], map_adapt_means(alive, x, relevance=0.0).means, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(adapted.weights, dead.weights)
+
+    def test_score_segment_runs(self):
+        dead, _ = self.models()
+        x = np.random.default_rng(32).normal(size=(20, 2))
+        enroll = map_adapt_means(dead, x)
+        assert np.isfinite(score_segment([enroll, dead], dead, feature_matrix(x))).all()
+
+
 def loop_log_densities(model, x):
     """Per-component reference: the diagonal quadratic form, one component at a time."""
     out = np.empty((x.shape[0], model.n_components))

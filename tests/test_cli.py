@@ -1,9 +1,11 @@
+import argparse
 import ctypes
 import dataclasses
 import json
 import logging
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -2055,3 +2057,147 @@ class TestMutatedInputs:
         assert lines == [] or lines[0].isprintable()
         shown = lines[0].replace(str(tmp_path), "").replace(str(mutable_inputs["root"]), "") if lines else ""
         assert len(shown) <= 300, shown
+
+
+# The RunConfig fields that have a flag: a command gets one for each of these that it reads.
+FLAGGED_FIELDS = {
+    "scale", "shape", "n_filters", "subsample_fraction", "ubm_components",
+    "em_iters", "relevance", "cost_preset", "seed", "jobs",
+}
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def subcommand_parsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestReadsTable:
+    """cli.READS names the fields each command reads; its flags and its documents' provenance follow it."""
+
+    @pytest.mark.parametrize("command", ["extract", "fratio"])
+    def test_unread_seed_is_usage_error(self, capsys, small_corpus, pipeline, tmp_path, command):
+        rest = {
+            "extract": ["--filterbank", pipeline / "fb.json", "--out", tmp_path / "feats"],
+            "fratio": ["--filterbanks", pipeline / "fb.json"],
+        }[command]
+        rc, out, err = run(capsys, command, "--manifest", small_corpus["manifest"], *rest, "--seed", 1)
+        assert rc == 1 and out == ""
+        assert err.startswith("usage error: unrecognized arguments: --seed 1")
+        assert not (tmp_path / "feats").exists()
+
+    def test_config_flags_are_row_fields_with_a_flag(self):
+        for command, p in subcommand_parsers().items():
+            flags = {a.dest: a.option_strings for a in p._actions if a.dest in CONFIG_FIELDS}
+            assert set(flags) == set(cli.READS[command]) & FLAGGED_FIELDS, command
+            for name, options in flags.items():
+                assert options == ["--" + name.replace("_", "-")], (command, name)
+            assert {"--config", "--overwrite"} <= set(p._option_string_actions), command
+
+    def test_provenance_records_row_without_jobs(self, pipeline):
+        documents = {
+            "learn-scale": [pipeline / "scale.json"],
+            "learn-filterbank": [pipeline / "fb.json"],
+            "train-ubm": [pipeline / "ubm.json"],
+            "enroll": sorted((pipeline / "models").glob("*.json")),
+        }
+        for command, paths in documents.items():
+            assert paths, command
+            for path in paths:
+                config = load_model(path).provenance["config"]
+                assert set(config) == set(cli.READS[command]) - {"jobs"}, path
+        # The filterbank came from a speech-pitch scale; it does not claim the default "mel".
+        assert "scale" not in load_model(pipeline / "fb.json").provenance["config"]
+        assert load_model(pipeline / "ubm.json").provenance["config"] == {"em_iters": 10, "seed": 0, "ubm_components": 8}
+        for path in (pipeline / "models").glob("*.json"):
+            assert load_model(path).provenance["config"] == {"relevance": 14.0}
+        config = load_model(pipeline / "scale.json").provenance["config"]
+        assert config == {name: getattr(RunConfig(scale="speech-pitch"), name) for name in config}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn-scale", "--manifest", "m", "--out", "o", "--scale", "speech-pitch", "--jobs", "2"],
+            ["learn-filterbank", "--manifest", "m", "--scale-doc", "s", "--out", "o", "--shape", "wpca-norm", "--jobs", "2"],
+            ["learn-filterbank", "--manifest", "m", "--scale-doc", "s", "--out", "o", "--shape", "tri", "--jobs", "2"],
+            ["extract", "--manifest", "m", "--filterbank", "f", "--out", "o", "--jobs", "2"],
+            ["fratio", "--manifest", "m", "--filterbanks", "a", "b", "--out", "o", "--jobs", "2"],
+            ["train-ubm", "--features", "f", "--out", "o", "--ubm-components", "16"],
+            ["score", "--trials", "t", "--models", "m", "--ubm", "u", "--features", "f", "--out", "o", "--jobs", "2"],
+        ],
+    )
+    def test_benchmark_flags_accepted(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+    def test_readme_config_table_matches_reads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config file", 1)[1]
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                command = cells[1].strip("`")
+                rows[command] = {name for name in re.findall(r"`([a-z_]+)`", cells[2]) if name in CONFIG_FIELDS}
+        assert rows == {command: set(fields) for command, fields in cli.READS.items()}
+
+
+class TestZeroWeightUbm:
+    """A UBM component of weight 0 is dead: enroll and score run without a numpy warning."""
+
+    def test_enroll_and_score_without_warnings(self, capsys, small_corpus, pipeline, tmp_path):
+        obj = json.loads((pipeline / "ubm.json").read_text())
+        weights = obj["payload"]["weights"]
+        rest = sum(weights[1:])
+        obj["payload"]["weights"] = [0.0] + [w / rest for w in weights[1:]]
+        obj["provenance"]["payload_sha256"] = store._payload_digest(obj["payload"])
+        ubm = tmp_path / "ubm.json"
+        ubm.write_text(json.dumps(obj))
+        # RuntimeWarnings are errors under the test configuration.
+        rc, out, err = run(
+            capsys, "enroll", "--manifest", small_corpus["enroll"], "--features", pipeline / "feats",
+            "--ubm", ubm, "--out", tmp_path / "models",
+        )
+        assert (rc, err) == (0, "") and out
+        rc, out, err = run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", tmp_path / "models", "--ubm", ubm,
+            "--features", pipeline / "feats", "--out", tmp_path / "scores.tsv",
+        )
+        assert (rc, err) == (0, "")
+        scores = read_scores(tmp_path / "scores.tsv")
+        assert all(math.isfinite(t.score) for t in scores.trials)
+
+
+class TestOutOfMemory:
+    """An allocation beyond the address-space limit ends a command with exit 2 and one line."""
+
+    LIMIT = 1536 << 20
+    SCRIPT = (
+        "import resource, sys; from warpfilt import cli; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({LIMIT}, {LIMIT})); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+
+    @pytest.fixture(scope="class")
+    def long_frame_corpus(self, tmp_path_factory):
+        # 4-s frames give n_fft 65536, which the document rule allows.
+        root = tmp_path_factory.mktemp("long_frame_corpus")
+        manifest, _, _ = build_corpus(root, n_speakers=1, n_utterances=2, duration_s=6.0, n_enroll=1, seed=0)
+        (root / "cfg.json").write_text('{"frame_ms": 4000, "hop_ms": 100}')
+        assert main(["learn-scale", "--manifest", str(manifest), "--out", str(root / "mel.json"), "--config", str(root / "cfg.json")]) == 0
+        assert load_model(root / "mel.json").n_fft == 65536
+        return root, manifest
+
+    @pytest.mark.parametrize("command", ["learn-scale", "learn-filterbank"])
+    def test_one_line_and_exit_2(self, long_frame_corpus, tmp_path, command):
+        root, manifest = long_frame_corpus
+        out = tmp_path / "out.json"
+        argv = {
+            "learn-scale": ["learn-scale", "--scale", "speech"],
+            "learn-filterbank": ["learn-filterbank", "--shape", "pca", "--scale-doc", root / "mel.json"],
+        }[command]
+        proc = python_child("-c", self.SCRIPT, *argv, "--manifest", manifest, "--config", root / "cfg.json", "--out", out)
+        assert proc.returncode == 2, proc.stderr[-500:]
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate"), lines
+        assert proc.stdout == "" and not out.exists()
