@@ -240,12 +240,12 @@ def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: boo
     return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}", keep_going)
 
 
-def _frame_length(cfg: RunConfig, sample_rate_hz: int) -> int:
+def _frame_length(cfg: RunConfig, sample_rate_hz: int, command: str) -> int:
     """The frame length in samples at the manifest rate, checked once per command before any audio.
 
-    A frame, a hop and the longest pitch period must each span a finite number of
-    samples that rounds to at least one, and the n_fft that holds a frame must obey
-    the document rule; a ValueError names the field that does not.
+    A frame, a hop and the longest pitch period, of those the command reads, must each
+    span a finite number of samples that rounds to at least one, and the n_fft that
+    holds a frame must obey the document rule; a ValueError names the field that does not.
     """
     sr = sample_rate_hz
     spans = {
@@ -254,7 +254,7 @@ def _frame_length(cfg: RunConfig, sample_rate_hz: int) -> int:
         "pitch_f_min_hz": ("the longest pitch period", sr / cfg.pitch_f_min_hz),
     }
     for field, (what, samples) in spans.items():
-        if not 0.5 < samples < math.inf:
+        if field in READS[command] and not 0.5 < samples < math.inf:
             raise ValueError(
                 f"{field} {_brief(getattr(cfg, field))} at {sr} Hz: {what} spans {samples!r} samples; "
                 "need a finite count that rounds to at least 1"
@@ -267,14 +267,14 @@ def _frame_length(cfg: RunConfig, sample_rate_hz: int) -> int:
     return frame_len
 
 
-def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig) -> int:
+def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig, command: str) -> int:
     """The n_fft of model documents [(path, ModelDocument)] to be applied to a corpus.
 
     Each must have the manifest's sample rate and the first document's n_fft, and
     that n_fft must hold a frame; a ValueError names the first document that does not.
     """
     first, first_doc = docs[0]
-    frame_len = _frame_length(cfg, sample_rate_hz)
+    frame_len = _frame_length(cfg, sample_rate_hz, command)
     for path, doc in docs:
         if doc.sample_rate_hz != sample_rate_hz:
             raise ValueError(f"{path}: sample_rate_hz {doc.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
@@ -326,7 +326,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
     _refuse_existing([out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
     sr = manifest.sample_rate_hz
-    n_fft = next_pow2(_frame_length(cfg, sr))
+    n_fft = next_pow2(_frame_length(cfg, sr, "learn-scale"))
     kind = SCALE_FLAGS[cfg.scale]
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
@@ -339,7 +339,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
         def ltas(seg):
             return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"))
 
-        avg = scale.average_ltas(list(_utterance_pass(entries, sr, cfg.jobs, ltas)))
+        avg = scale.average_ltas(_utterance_pass(entries, sr, cfg.jobs, ltas))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
         warping = scale.build_warping_scale(partition, avg.bin_hz, sr / 2.0, kind)
     doc = store.scale_document(warping, sr, n_fft, _provenance(cfg, "learn-scale", args.manifest))
@@ -364,7 +364,7 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
     if shape_kind == "triangular":
         fb = filterbank.triangular_responses(layout)
     else:
-        _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg)
+        _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg, "learn-filterbank")
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
 
         def speech_log_spectra(seg):
@@ -388,7 +388,7 @@ def cmd_extract(args, cfg: RunConfig) -> int:
     targets = {e.utterance_id: outdir / f"{e.utterance_id}.wflt" for e in manifest.entries}
     _refuse_existing(targets.values(), args.overwrite)
     fb_doc, fb = _load_document(args.filterbank, "filterbank")
-    _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg)
+    _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg, "extract")
     if cfg.n_ceps > fb.n_filters - 1:
         raise ValueError(f"{args.filterbank}: n_ceps {_brief(cfg.n_ceps)} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -419,7 +419,7 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
     if len(speakers) < 2:
         raise ValueError("manifest needs speaker_ids for at least two speakers")
     loaded = [(path, *_load_document(path, "filterbank")) for path in args.filterbanks]
-    n_fft = _check_documents([(path, doc) for path, doc, _ in loaded], manifest.sample_rate_hz, cfg)
+    n_fft = _check_documents([(path, doc) for path, doc, _ in loaded], manifest.sample_rate_hz, cfg, "fratio")
     fbs = [fb for _, _, fb in loaded]
 
     # One front-end pass per utterance, shared by every filterbank.
@@ -427,22 +427,20 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
         spec, mask = utterance_spectra(seg, cfg, n_fft)
         return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
 
-    # One pass in manifest order, so a failure is named as every other command names it.
+    # One pass in manifest order, so a failure is named as every other command names it. Each
+    # filterbank's rows go to its speaker's list, which is stacked once, and dropped, below.
     entries = [e for e in manifest.entries if e.speaker_id is not None]
-    per_speaker = {speaker: [] for speaker in speakers}
+    groups = [{speaker: [] for speaker in speakers} for _ in fbs]
     for entry, energies in zip(entries, _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_energies)):
-        per_speaker[entry.speaker_id].append(energies)
-    groups = [{} for _ in fbs]
-    for speaker, per_utterance in per_speaker.items():
-        for i, group in enumerate(groups):
-            group[speaker] = np.vstack([energies[i] for energies in per_utterance])
+        for group, rows in zip(groups, energies):
+            group[entry.speaker_id].append(rows)
     variants = {}
     for doc_path, group in zip(args.filterbanks, groups):
         stem = label = Path(doc_path).stem
         copy = 2
         while label in variants:
             label, copy = f"{stem}#{copy}", copy + 1
-        variants[label] = group
+        variants[label] = {speaker: np.vstack(group.pop(speaker)) for speaker in speakers}
     report = analysis.f_ratio_report(variants)
     print(report.to_text())
     if args.out is not None:

@@ -13,6 +13,7 @@ logger = logging.getLogger(__name__)
 SHAPE_KINDS = ("triangular", "pca", "windowed-pca", "windowed-pca-normalized")
 
 _BLOCK_FRAMES = 8192
+_BLOCK_BYTES = 64 << 20
 
 
 @dataclass
@@ -91,12 +92,11 @@ def place_filter_edges(
     check_n_filters(q, n_fft)
     k = n_fft // 2 + 1
     bin_hz = sample_rate_hz / n_fft
-    warped = np.arange(q + 2) / (q + 1)
-    bins = np.rint(scale.inverse(warped) / bin_hz).astype(np.int64)
+    j = np.arange(q + 2)
+    bins = np.rint(scale.inverse(j / (q + 1)) / bin_hz).astype(np.int64)
     bins[0] = 0
-    for j in range(1, q + 2):
-        # Rounding collisions advance one bin, but never into the bins the later boundaries need.
-        bins[j] = min(max(bins[j], bins[j - 1] + 1), k - 2 - q + j)
+    # Collisions advance one bin, but never into the bins later boundaries need: a capped running max of bins - j.
+    bins = np.minimum(np.maximum.accumulate(bins - j), k - 2 - q) + j
     bins[-1] = k - 1
     return FilterbankLayout(bins, sample_rate_hz, n_fft)
 
@@ -114,17 +114,17 @@ def subband_covariance(log_spectra, layout: FilterbankLayout) -> list[np.ndarray
     """Sample covariance of every subband of a layout, one per filter.
 
     log_spectra is an iterable of batches of log spectra, one frame per row; one batch
-    per utterance, say. Rows are copied into a block of _BLOCK_FRAMES rows. Each full
-    block is centred once, in place, on its mean, every subband scatter is taken from
-    it, and it is merged into one full-band running mean with the pairwise update of
-    Chan, Golub & LeVeque (1979). So the result depends on the sequence of rows only,
-    not on how it was split into batches, and memory holds one block, not the corpus.
-    Up to _BLOCK_FRAMES rows give the two-pass covariance exactly.
+    per utterance, say. Rows are copied into a block of _BLOCK_FRAMES rows, or of _BLOCK_BYTES
+    if fewer (at least 2). Each full block is centred once, in place, on its mean, every subband
+    scatter is taken from it, and it is merged into one full-band running mean with the pairwise
+    update of Chan, Golub & LeVeque (1979). So the result depends on the rows and the block size,
+    not on how the rows were split into batches, and memory holds one block, not the corpus. Up
+    to one block of rows gives the two-pass covariance exactly.
     """
     bands = [layout.subband(j) for j in range(1, layout.n_filters + 1)]
     mean = np.zeros(layout.n_bins)
     scatters = [0.0] * len(bands)
-    block = np.empty((_BLOCK_FRAMES, layout.n_bins))
+    block = np.empty((max(2, min(_BLOCK_FRAMES, _BLOCK_BYTES // (8 * layout.n_bins))), layout.n_bins))
     filled = folded = 0
 
     def fold():

@@ -79,24 +79,25 @@ def compute_ltas(spec: PowerSpectrogram, mask: np.ndarray) -> Ltas:
     return Ltas(spec.frames[mask].mean(axis=0), n_sel, spec.bin_hz)
 
 
-def _check_compatible(ltas_list: list[Ltas]):
-    if not ltas_list:
-        raise ValueError("empty LTAS list")
-    k = ltas_list[0].values.size
-    bin_hz = ltas_list[0].bin_hz
-    for item in ltas_list[1:]:
-        if item.values.size != k:
+def average_ltas(ltas_list) -> Ltas:
+    """Ensemble average over utterances; each utterance counts once.
+
+    ltas_list is any iterable of Ltas, a generator say; each is folded into one running sum
+    as it arrives, so memory holds one K-vector and the average is np.mean's, bit for bit."""
+    total = None
+    for n, item in enumerate(ltas_list, start=1):
+        if total is None:
+            total, frames, bin_hz = item.values.copy(), 0, item.bin_hz
+        elif item.values.size != total.size:
             raise ValueError("mismatched LTAS lengths")
-        if item.bin_hz != bin_hz:
+        elif item.bin_hz != bin_hz:
             raise ValueError("mismatched bin spacing")
-
-
-def average_ltas(ltas_list: list[Ltas]) -> Ltas:
-    """Ensemble average over utterances; each utterance counts once."""
-    _check_compatible(ltas_list)
-    values = np.mean([item.values for item in ltas_list], axis=0)
-    total = sum(item.n_frames_accumulated for item in ltas_list)
-    return Ltas(values, total, ltas_list[0].bin_hz)
+        else:
+            total += item.values
+        frames += item.n_frames_accumulated
+    if total is None:
+        raise ValueError("empty LTAS list")
+    return Ltas(total / n, frames, bin_hz)
 
 
 def _shifted_log(values: np.ndarray) -> np.ndarray:
@@ -184,11 +185,7 @@ def partition_areas(areas: np.ndarray, q: int) -> BandPartition:
         raise ValueError("more bands than bins")
     cum = np.cumsum(areas)
     edges = _min_spread_edges(cum, q)
-    bands = []
-    lo = 0
-    for e in edges:
-        bands.append((lo, int(e)))
-        lo = int(e) + 1
+    bands = [(int(lo), int(hi)) for lo, hi in zip(np.concatenate(([0], edges[:-1] + 1)), edges)]
     return BandPartition(bands, np.diff(cum[edges], prepend=0.0))
 
 

@@ -265,10 +265,13 @@ def scale_document(
 
 def scale_from_document(doc: ModelDocument) -> WarpingScale:
     p = doc.payload
-    _header_int(doc, "sample_rate_hz", 1)
+    rate = _header_int(doc, "sample_rate_hz", 1)
     check_n_fft(doc.n_fft)
     # WarpingScale validates monotonicity, catching hand-edited documents.
-    return WarpingScale(_payload_array(p, "knots_hz", 1), _payload_array(p, "knots_warped", 1), p.get("scale_kind"))
+    warping = WarpingScale(_payload_array(p, "knots_hz", 1), _payload_array(p, "knots_warped", 1), p.get("scale_kind"))
+    if warping.nyquist_hz != rate / 2:
+        raise ValueError(f"knots_hz must end at sample_rate_hz / 2 = {rate / 2!r}, got {_brief(warping.nyquist_hz)}")
+    return warping
 
 
 def filterbank_document(fb: Filterbank, provenance: dict | None = None) -> ModelDocument:

@@ -79,6 +79,7 @@ def brute_force_min_spread(areas, q):
     return best
 
 
+@pytest.mark.slow
 def test_criterion_02_equal_area_partition():
     rng = np.random.default_rng(2024)
     start = time.perf_counter()
@@ -333,6 +334,7 @@ def _run_cell(art_dir, corpus, scale_flag, shape_flag, components="16"):
     return 100.0 * eer(curve)
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end_desk_asv(desk_corpus, tmp_path_factory):
     art = tmp_path_factory.mktemp("acceptance_grid")
     start = time.perf_counter()

@@ -1288,6 +1288,16 @@ class TestNFftRule:
         assert err.splitlines() == [f"error: {bad}: {self.MESSAGE.format(n_fft)}"]
         assert not (tmp_path / "fb.json").exists()
 
+    def test_scale_beyond_its_nyquist_frequency(self, capsys, tmp_path):
+        # A last knot of 1e308 Hz put boundary bins beyond the int64 range (a RuntimeWarning on the cast).
+        warping = mel_warping_scale(8000.0)
+        warping.knots_hz[-1] = 1e308
+        bad = tmp_path / "scale.json"
+        store.save_model(store.scale_document(warping, 16000, 512), bad)
+        rc, out, err = run(capsys, "learn-filterbank", "--scale-doc", bad, "--shape", "tri", "--out", tmp_path / "fb.json")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {bad}: knots_hz must end at sample_rate_hz / 2 = 8000.0, got 1e+308"]
+
     @pytest.mark.parametrize("n_fft", [640, 2**70])
     def test_filterbank_document(self, capsys, monkeypatch, small_corpus, tmp_path, n_fft):
         # A filterbank laid out on 640 bins, consistent but for its n_fft.
@@ -1673,6 +1683,19 @@ class TestRunConfig:
         assert rc == 2
         assert err.splitlines() == [f"error: {message}"]
         assert out == "" and loaded == [] and not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("command", ["learn-filterbank", "extract", "fratio"])
+    def test_pitch_period_checked_only_where_read(self, capsys, small_corpus, pipeline, tmp_path, command):
+        # Only learn-scale reads pitch_f_min_hz; the others ignore it, as they ignore any field they do not read.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"pitch_f_min_hz": 1e-320}')
+        rest = {
+            "learn-filterbank": ["--shape", "pca", "--scale-doc", pipeline / "scale.json", "--out", tmp_path / "fb.json"],
+            "extract": ["--filterbank", pipeline / "fb.json", "--out", tmp_path / "feats"],
+            "fratio": ["--filterbanks", pipeline / "fb.json", pipeline / "fb.json"],
+        }[command]
+        rc, out, err = run(capsys, command, "--manifest", small_corpus["manifest"], *rest, "--config", path)
+        assert (rc, err) == (0, "") and out
 
     EXTREME_FLOATS = st.none() | st.sampled_from([5e-324, 1e-320, 1e-300, 1e-3, 1e300, 1e305, math.inf, math.nan]) | st.floats()
 
@@ -2180,12 +2203,14 @@ class TestOutOfMemory:
 
     @pytest.fixture(scope="class")
     def long_frame_corpus(self, tmp_path_factory):
-        # 4-s frames give n_fft 65536, which the document rule allows.
+        # 4-s frames give n_fft 65536, which the document rule allows; 2048-ms frames give 32768.
         root = tmp_path_factory.mktemp("long_frame_corpus")
         manifest, _, _ = build_corpus(root, n_speakers=1, n_utterances=2, duration_s=6.0, n_enroll=1, seed=0)
-        (root / "cfg.json").write_text('{"frame_ms": 4000, "hop_ms": 100}')
-        assert main(["learn-scale", "--manifest", str(manifest), "--out", str(root / "mel.json"), "--config", str(root / "cfg.json")]) == 0
-        assert load_model(root / "mel.json").n_fft == 65536
+        for suffix, frame_ms, n_fft in [("", 4000, 65536), ("_32768", 2048, 32768)]:
+            cfg, mel = root / f"cfg{suffix}.json", root / f"mel{suffix}.json"
+            cfg.write_text(f'{{"frame_ms": {frame_ms}, "hop_ms": 100}}')
+            assert main(["learn-scale", "--manifest", str(manifest), "--out", str(mel), "--config", str(cfg)]) == 0
+            assert load_model(mel).n_fft == n_fft
         return root, manifest
 
     @pytest.mark.parametrize("command", ["learn-scale", "learn-filterbank"])
@@ -2201,3 +2226,16 @@ class TestOutOfMemory:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate"), lines
         assert proc.stdout == "" and not out.exists()
+
+    @pytest.mark.slow
+    def test_pca_block_bounded_by_bytes(self, long_frame_corpus, tmp_path):
+        # 80 frames of 16,385 bins: a block of 8192 rows alone would take 1 GiB of the 1.5 GiB. The
+        # 40 filters' subbands are narrower than the default 20's, so their eigh calls take seconds, not tens.
+        root, manifest = long_frame_corpus
+        out = tmp_path / "out.json"
+        proc = python_child(
+            "-c", self.SCRIPT, "learn-filterbank", "--shape", "pca", "--n-filters", "40", "--scale-doc",
+            root / "mel_32768.json", "--manifest", manifest, "--config", root / "cfg_32768.json", "--out", out,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        assert load_model(out).n_fft == 32768

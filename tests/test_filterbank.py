@@ -133,6 +133,29 @@ def learned_speech_scale():
     return build_warping_scale(equal_area_partition(ltas, 20), ltas.bin_hz, 8000.0)
 
 
+def reference_edges(scale, q, n_fft, sample_rate_hz):
+    """The former boundary bins, one collision at a time."""
+    k = n_fft // 2 + 1
+    bins = np.rint(scale.inverse(np.arange(q + 2) / (q + 1)) / (sample_rate_hz / n_fft)).astype(np.int64)
+    bins[0] = 0
+    for j in range(1, q + 2):
+        bins[j] = min(max(bins[j], bins[j - 1] + 1), k - 2 - q + j)
+    bins[-1] = k - 1
+    return bins
+
+
+class TestEdgesReference:
+    """The running maximum gives the former per-boundary collision loop's bins exactly."""
+
+    @pytest.mark.parametrize("n_fft", [256, 512])
+    @pytest.mark.parametrize("scale", ["mel", "speech"])
+    def test_every_filter_count(self, n_fft, scale):
+        warping = mel_warping_scale(8000.0) if scale == "mel" else learned_speech_scale()
+        for q in range(1, n_fft // 2):
+            got = place_filter_edges(warping, q, n_fft, 16000).boundary_bins
+            assert np.array_equal(got, reference_edges(warping, q, n_fft, 16000)), q
+
+
 class TestTriangularReference:
     """The broadcast triangles give the former per-filter triangles bit for bit."""
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,34 @@ class TestAverageLtas:
     def test_mismatched_k(self):
         with pytest.raises(ValueError, match="mismatched"):
             average_ltas([Ltas(np.ones(3), 1, 1.0), Ltas(np.ones(4), 1, 1.0)])
+
+    def test_mismatched_bin_spacing(self):
+        with pytest.raises(ValueError, match="mismatched bin spacing"):
+            average_ltas(iter([Ltas(np.ones(3), 1, 1.0), Ltas(np.ones(3), 1, 2.0)]))
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            average_ltas(iter([]))
+
+    @staticmethod
+    def generated(n, k=4097):
+        rng = np.random.default_rng(n)
+        for i in range(n):
+            yield Ltas(rng.exponential(size=k), i + 1, 3.90625)
+
+    def test_generator_in_one_running_sum(self):
+        """Memory holds a few K-vectors however many LTAS arrive, and the average is np.mean's, bit for bit."""
+        average_ltas(self.generated(2))  # first-call allocations of numpy's random module are not the fold's
+        peaks = {}
+        for n in (20, 2000):
+            tracemalloc.start()
+            avg = average_ltas(self.generated(n))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            stacked = np.stack([item.values for item in self.generated(n)])
+            assert np.array_equal(avg.values, np.mean(stacked, axis=0))
+            assert (avg.n_frames_accumulated, avg.bin_hz) == (n * (n + 1) // 2, 3.90625)
+        assert abs(peaks[2000] - peaks[20]) < 4 * 4097 * 8, peaks
 
 
 def brute_force_spread(areas, q):
@@ -171,6 +200,7 @@ class TestPartition:
             assert spread <= areas_vec.max() + 1e-9
             assert spread <= brute_force_spread(areas_vec, q) + 1e-9
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("q", [12, 20, 32, 64])
     def test_one_bin_bound_at_cli_band_counts(self, q):
         rng = np.random.default_rng(q)
@@ -301,6 +331,7 @@ def corpus_ltas(small_corpus):
     }
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("kind", ["mel", "speech-based", "speech-based-pitch"])
 def test_every_filter_count_up_to_k_minus_2(corpus_ltas, kind):
     """Each Q up to K - 2 = 255 gives a scale and a layout, equal to the earlier code's wherever that succeeded."""

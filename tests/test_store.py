@@ -255,6 +255,18 @@ class TestModelDocuments:
         with pytest.raises(ValueError, match="degenerate scale"):
             scale_from_document(load_model(path))
 
+    @pytest.mark.parametrize("nyquist", [4000.0, 1e308])
+    def test_last_knot_must_be_the_nyquist_frequency(self, tmp_path, nyquist):
+        doc = ModelDocument(
+            "warping-scale", 16000, 512,
+            {"scale_kind": "mel", "knots_hz": [0.0, 10.0, nyquist], "knots_warped": [0.0, 0.5, 1.0]},
+        )
+        path = tmp_path / "bad.json"
+        save_model(doc, path)
+        with pytest.raises(ValueError) as info:
+            scale_from_document(load_model(path))
+        assert str(info.value) == f"knots_hz must end at sample_rate_hz / 2 = 8000.0, got {nyquist!r}"
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown model kind"):
             save_model(ModelDocument("embedding", 0, 0, {}), tmp_path / "x.json")
