@@ -167,7 +167,7 @@ def train_ubm(
     """
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[0] < 10 * n_components:
-        raise ValueError("too few frames")
+        raise ValueError(f"too few frames: {x.shape[0]}, need 10 x {n_components} components = {10 * n_components}")
     model = _kmeans_style_init(x, n_components, np.random.default_rng(seed))
     history = np.empty(iters)
     for it in range(iters):

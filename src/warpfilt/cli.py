@@ -285,22 +285,6 @@ def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig, command: str) ->
     return first_doc.n_fft
 
 
-_DECODERS = {
-    "warping-scale": store.scale_from_document,
-    "filterbank": store.filterbank_from_document,
-    "gmm": store.gmm_from_document,
-}
-
-
-def _load_document(path, kind: str):
-    """The model document of `kind` at path and the object it holds; a ValueError from decoding names the file."""
-    doc = store.load_model(path, expect_kind=kind)
-    try:
-        return doc, _DECODERS[kind](doc)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
-
-
 def _subsample(entries, fraction: float, seed: int):
     if fraction >= 1.0:
         return entries
@@ -326,7 +310,8 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
     _refuse_existing([out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
     sr = manifest.sample_rate_hz
-    n_fft = next_pow2(_frame_length(cfg, sr, "learn-scale"))
+    frame_len = _frame_length(cfg, sr, "learn-scale")
+    n_fft = next_pow2(frame_len)
     kind = SCALE_FLAGS[cfg.scale]
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
@@ -334,6 +319,14 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
         if cfg.n_filters < 2:
             raise ValueError(f"n_filters {_brief(cfg.n_filters)}: need at least two bands")
         filterbank.check_n_filters(cfg.n_filters, n_fft)
+        if kind == "speech-based-pitch":
+            lag_min, lag_max = sad.pitch_lags(frame_len, sr, cfg)
+            if lag_min > lag_max:
+                raise ValueError(
+                    f"frame_ms {_brief(cfg.frame_ms)} at {sr} Hz: the pitch band pitch_f_min_hz {_brief(cfg.pitch_f_min_hz)} "
+                    f"to pitch_f_max_hz {_brief(cfg.pitch_f_max_hz)} leaves no lag to search in a frame of {frame_len} "
+                    f"samples: lag_min {lag_min} > lag_max {lag_max}"
+                )
         entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
 
         def ltas(seg):
@@ -358,7 +351,7 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
         if args.manifest is None:
             raise ValueError("PCA filter shapes need --manifest for the corpus pass")
         manifest = store.load_manifest(args.manifest)
-    scale_doc, warping = _load_document(args.scale_doc, "warping-scale")
+    scale_doc, warping = store.load_document(args.scale_doc, "warping-scale")
     n_fft = scale_doc.n_fft
     layout = filterbank.place_filter_edges(warping, cfg.n_filters, n_fft, scale_doc.sample_rate_hz)
     if shape_kind == "triangular":
@@ -387,7 +380,7 @@ def cmd_extract(args, cfg: RunConfig) -> int:
     outdir = Path(args.out)
     targets = {e.utterance_id: outdir / f"{e.utterance_id}.wflt" for e in manifest.entries}
     _refuse_existing(targets.values(), args.overwrite)
-    fb_doc, fb = _load_document(args.filterbank, "filterbank")
+    fb_doc, fb = store.load_document(args.filterbank, "filterbank")
     _check_documents([(args.filterbank, fb_doc)], manifest.sample_rate_hz, cfg, "extract")
     if cfg.n_ceps > fb.n_filters - 1:
         raise ValueError(f"{args.filterbank}: n_ceps {_brief(cfg.n_ceps)} must be <= n_filters - 1 = {fb.n_filters - 1}")
@@ -417,10 +410,16 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
     manifest = store.load_manifest(args.manifest)
     speakers = manifest.speakers()
     if len(speakers) < 2:
-        raise ValueError("manifest needs speaker_ids for at least two speakers")
-    loaded = [(path, *_load_document(path, "filterbank")) for path in args.filterbanks]
+        raise ValueError(f"{args.manifest}: need speaker_ids for at least two speakers")
+    loaded = [(path, *store.load_document(path, "filterbank")) for path in args.filterbanks]
+    first = args.filterbanks[0]
+    if len(loaded) < 2:
+        raise ValueError(f"{first}: need a second filterbank to compare with")
     n_fft = _check_documents([(path, doc) for path, doc, _ in loaded], manifest.sample_rate_hz, cfg, "fratio")
     fbs = [fb for _, _, fb in loaded]
+    for path, _, fb in loaded:
+        if fb.n_filters != fbs[0].n_filters:
+            raise ValueError(f"{path}: n_filters {fb.n_filters} differs from n_filters {fbs[0].n_filters} of {first}")
 
     # One front-end pass per utterance, shared by every filterbank.
     def speech_log_energies(seg):
@@ -474,7 +473,10 @@ def cmd_train_ubm(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
     frames = _speech_frames(list(_feature_files(args.features).values()))
-    model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
+    try:
+        model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
+    except ValueError as err:
+        raise ValueError(f"{args.features}: {err}") from err
     prov = _provenance(cfg, "train-ubm", None)
     prov["em_log_likelihoods"] = [float(v) for v in history]
     store.save_model(store.gmm_document(model, 0, 0, prov), out)
@@ -488,11 +490,11 @@ def cmd_enroll(args, cfg: RunConfig) -> int:
     manifest = store.load_manifest(args.manifest)
     speakers = manifest.speakers()
     if not speakers:
-        raise ValueError("manifest has no speaker_ids")
+        raise ValueError(f"{args.manifest}: no speaker_ids")
     outdir = Path(args.out)
     _refuse_existing([outdir / f"{speaker}.json" for speaker in speakers], args.overwrite)
     feature_files = _feature_files(args.features, [e.utterance_id for es in speakers.values() for e in es], "utterance")
-    _, ubm = _load_document(args.ubm, "gmm")
+    _, ubm = store.load_document(args.ubm, "gmm")
 
     def adapt(speaker):
         frames = _speech_frames([feature_files[e.utterance_id] for e in speakers[speaker]])
@@ -513,19 +515,19 @@ def cmd_score(args, cfg: RunConfig) -> int:
     _refuse_existing([out], args.overwrite)
     trials = store.read_trials(args.trials)
     if not trials.trials:
-        raise ValueError("no trials")
+        raise ValueError(f"{args.trials}: no trials")
     by_test = {}  # test_id -> indices of its trials, in trial-list order
     for i, t in enumerate(trials.trials):
         by_test.setdefault(t.test_id, []).append(i)
     feature_files = _feature_files(args.features, by_test, "test segment")
-    _, ubm = _load_document(args.ubm, "gmm")
+    _, ubm = store.load_document(args.ubm, "gmm")
     enroll_models = {}
     for t in trials.trials:
         if t.enroll_id not in enroll_models:
             path = Path(args.models) / f"{t.enroll_id}.json"
             if not path.exists():
-                raise ValueError(f"no enrolled model for {t.enroll_id}")
-            _, model = _load_document(path, "gmm")
+                raise ValueError(f"{args.models}: no enrolled model for {t.enroll_id}")
+            _, model = store.load_document(path, "gmm")
             # Mean-only MAP copies the UBM's weights and variances, exactly through the JSON round trip.
             if not (
                 model.means.shape == ubm.means.shape
@@ -554,8 +556,15 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     _refuse_existing([args.det_out], args.overwrite)
     scores = store.read_scores(args.scores)
     if args.fuse_with is not None:
-        scores = backend.fuse_scores(scores, store.read_scores(args.fuse_with))
-    curve = backend.det_curve(scores)
+        other = store.read_scores(args.fuse_with)
+        try:
+            scores = backend.fuse_scores(scores, other)
+        except ValueError as err:
+            raise ValueError(f"{args.scores} and {args.fuse_with}: {err}") from err
+    try:
+        curve = backend.det_curve(scores)
+    except ValueError as err:
+        raise ValueError(f"{args.scores}: {err}") from err
     c_miss, c_fa, p_tar = backend.COST_PRESETS[cfg.cost_preset]
     eer_value = backend.eer(curve)
     dcf_value = backend.min_dcf(curve, c_miss, c_fa, p_tar)

@@ -140,21 +140,28 @@ def normalized_autocorrelation(frames: np.ndarray, lag_min: int, lag_max: int) -
     return r
 
 
+def pitch_lags(frame_len: int, sample_rate_hz: int, cfg: FeatureConfig) -> tuple[int, int]:
+    """(lag_min, lag_max): the lags of cfg's pitch band that a frame of frame_len samples
+    holds with MIN_OVERLAP samples of overlap; empty when lag_min > lag_max."""
+    lag_min = max(1, int(np.ceil(sample_rate_hz / cfg.pitch_f_max_hz)))
+    lag_max = min(int(np.floor(sample_rate_hz / cfg.pitch_f_min_hz)), frame_len - MIN_OVERLAP)
+    return lag_min, lag_max
+
+
 def track_pitch(
     frames: np.ndarray, sample_rate_hz: int, cfg: FeatureConfig | None = None
 ) -> PitchTrack:
     """Voicing per frame of a frame matrix.
 
     A frame is voiced when it is live (energy above ENERGY_EPS) and its largest
-    normalized autocorrelation over the lags of cfg's pitch band is at least
+    normalized autocorrelation over the pitch_lags of cfg's band is at least
     cfg's voicing threshold; None means FeatureConfig().
     """
     cfg = cfg or FeatureConfig()
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     n_frames, n = frames.shape
     voiced = np.zeros(n_frames, dtype=bool)
-    lag_min = max(1, int(np.ceil(sample_rate_hz / cfg.pitch_f_max_hz)))
-    lag_max = min(int(np.floor(sample_rate_hz / cfg.pitch_f_min_hz)), n - 1, n - MIN_OVERLAP)
+    lag_min, lag_max = pitch_lags(n, sample_rate_hz, cfg)
     live = np.flatnonzero(np.sum(frames * frames, axis=1) > ENERGY_EPS)
     if lag_min <= lag_max and live.size > 0:
         r = normalized_autocorrelation(frames[live], lag_min, lag_max)

@@ -32,10 +32,6 @@ WAVE_FORMAT_IEEE_FLOAT = 3
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 
-class ModelKindError(ValueError):
-    """A model document was loaded as the wrong kind."""
-
-
 def _atomic_write(path: str | Path, data: bytes):
     """Write to a temporary file of this writer's own, then rename it over `path`."""
     path = Path(path)
@@ -183,7 +179,7 @@ def save_model(doc: ModelDocument, path: str | Path):
 
 
 def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocument:
-    """Read and validate a model document; checks keys, version, kind, and checksum."""
+    """Read and validate a model document; checks keys, version, kind (expect_kind's, if given), and checksum."""
     obj = read_json(path)
     if not isinstance(obj, dict) or set(obj) != DOCUMENT_KEYS:
         raise ValueError(f"{path}: unexpected document keys")
@@ -199,7 +195,7 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
     if stored != _payload_digest(obj["payload"]):
         raise ValueError(f"{path}: checksum mismatch")
     if expect_kind is not None and obj["kind"] != expect_kind:
-        raise ModelKindError(f"{path}: expected kind {expect_kind!r}, found {obj['kind']!r}")
+        raise ValueError(f"{path}: expected kind {expect_kind!r}, found {obj['kind']!r}")
     return ModelDocument(
         kind=obj["kind"],
         sample_rate_hz=obj["sample_rate_hz"],
@@ -308,6 +304,16 @@ def gmm_from_document(doc: ModelDocument) -> GmmModel:
     _header_int(doc, "sample_rate_hz", 0)
     _header_int(doc, "n_fft", 0)
     return GmmModel(_payload_array(p, "weights", 1), _payload_array(p, "means", 2), _payload_array(p, "variances", 2))
+
+
+def load_document(path: str | Path, kind: str) -> tuple[ModelDocument, object]:
+    """The model document of `kind` at path and its decoded object; another kind or a decoding error names the file."""
+    doc = load_model(path, expect_kind=kind)
+    decode = {"warping-scale": scale_from_document, "filterbank": filterbank_from_document, "gmm": gmm_from_document}[kind]
+    try:
+        return doc, decode(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 # --- Feature files -----------------------------------------------------------

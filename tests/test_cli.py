@@ -160,8 +160,8 @@ class TestLearnScale:
         out_doc = tmp_path / "mel.json"
         rc, out, _ = run(capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--out", out_doc, "--scale", "mel")
         assert rc == 0
-        doc = load_model(out_doc, expect_kind="warping-scale")
-        assert doc.payload["scale_kind"] == "mel"
+        _, warping = store.load_document(out_doc, "warping-scale")
+        assert warping.kind == "mel"
         lines = [l.split("\t") for l in out.strip().splitlines()]
         assert float(lines[0][0]) == 0.0 and float(lines[0][1]) == 0.0
         assert float(lines[-1][1]) == 1.0
@@ -541,6 +541,44 @@ class TestDocumentChecks:
         proc = python_child("-m", "warpfilt.cli", argv[0], "--manifest", small_corpus["manifest"], *argv[1:])
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, wrong, expected",
+        [
+            (["learn-filterbank", "--scale-doc", "WRONG", "--shape", "tri", "--out", "OUT"], "fb.json", "warping-scale"),
+            (["extract", "--manifest", "MANIFEST", "--filterbank", "WRONG", "--out", "OUT"], "scale.json", "filterbank"),
+            (["fratio", "--manifest", "MANIFEST", "--filterbanks", "FB", "WRONG", "--out", "OUT"], "ubm.json", "filterbank"),
+            (["enroll", "--manifest", "ENROLL", "--features", "FEATS", "--ubm", "WRONG", "--out", "OUT"], "fb.json", "gmm"),
+            (
+                ["score", "--trials", "TRIALS", "--models", "MODELS", "--ubm", "WRONG", "--features", "FEATS", "--out", "OUT"],
+                "scale.json", "gmm",
+            ),
+            (
+                ["score", "--trials", "TRIALS", "--models", "WRONG_MODELS", "--ubm", "UBM", "--features", "FEATS", "--out", "OUT"],
+                "fb.json", "gmm",
+            ),
+        ],
+        ids=["learn-filterbank-scale-doc", "extract-filterbank", "fratio-filterbanks", "enroll-ubm", "score-ubm", "score-models"],
+    )
+    def test_wrong_kind_exits_2_with_one_line(self, capsys, small_corpus, pipeline, tmp_path, command, wrong, expected):
+        found = load_model(pipeline / wrong).kind
+        paths = {
+            "MANIFEST": small_corpus["manifest"], "ENROLL": small_corpus["enroll"], "TRIALS": small_corpus["trials"],
+            "FB": pipeline / "fb.json", "UBM": pipeline / "ubm.json", "FEATS": pipeline / "feats",
+            "MODELS": pipeline / "models", "OUT": tmp_path / "out", "WRONG": pipeline / wrong,
+        }
+        named = pipeline / wrong
+        if "WRONG_MODELS" in command:
+            # A models directory in which one speaker's model file holds a document of another kind.
+            paths["WRONG_MODELS"] = models = tmp_path / "models"
+            shutil.copytree(pipeline / "models", models)
+            enroll_id = small_corpus["trials"].read_text().split("\t")[0]
+            named = models / f"{enroll_id}.json"
+            shutil.copyfile(pipeline / wrong, named)
+        rc, out, err = run(capsys, *[paths.get(a, a) for a in command])
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: {named}: expected kind {expected!r}, found {found!r}"]
         assert not (tmp_path / "out").exists()
 
     def test_extract_checks_n_ceps_once(self, small_corpus, pipeline, tmp_path):
@@ -1168,6 +1206,91 @@ class TestFeatureInputs:
         assert out == "" and not (tmp_path / "ubm.json").exists()
 
 
+class TestErrorLinesNameInput:
+    """An input that holds too little for its command ends it with exit 2 and one line naming that input."""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [["a\tx\ttarget\t2.0", "b\ty\ttarget\t0.5"], ["a\ty\timpostor\t1.0", "b\tx\timpostor\t-1.0"]],
+        ids=["no-impostor", "no-target"],
+    )
+    def test_evaluate_scores_of_one_label(self, capsys, tmp_path, lines):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join(lines) + "\n")
+        rc, out, err = run(capsys, "evaluate", "--scores", scores, "--det-out", tmp_path / "det.tsv")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {scores}: need at least one target and one impostor trial"]
+        assert not (tmp_path / "det.tsv").exists()
+
+    def test_evaluate_fuse_with_other_trial_keys_names_both_files(self, capsys, tmp_path):
+        scores = write_score_file(tmp_path)
+        other = tmp_path / "other.tsv"
+        other.write_text(scores.read_text().replace("a\tx\t", "c\tx\t"))
+        rc, out, err = run(capsys, "evaluate", "--scores", scores, "--fuse-with", other)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {scores} and {other}: trial keys do not match"]
+
+    def test_score_blank_trial_list(self, capsys, pipeline, tmp_path):
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("")
+        rc, out, err = run(
+            capsys, "score", "--trials", trials, "--models", pipeline / "models", "--ubm", pipeline / "ubm.json",
+            "--features", pipeline / "feats", "--out", tmp_path / "scores.tsv",
+        )
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {trials}: no trials"]
+        assert not (tmp_path / "scores.tsv").exists()
+
+    def test_train_ubm_too_few_frames(self, capsys, pipeline, tmp_path):
+        feats = pipeline / "feats"
+        n_frames = sum(read_features(p).speech_frames.shape[0] for p in feats.glob("*.wflt"))
+        rc, out, err = run(capsys, "train-ubm", "--features", feats, "--out", tmp_path / "ubm.json", "--ubm-components", 1000)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {feats}: too few frames: {n_frames}, need 10 x 1000 components = 10000"]
+        assert not (tmp_path / "ubm.json").exists()
+
+    @pytest.mark.parametrize("command", ["enroll", "fratio"])
+    def test_manifest_without_speaker_ids(self, capsys, small_corpus, pipeline, tmp_path, command):
+        manifest = load_manifest(small_corpus["manifest"])
+        anonymous = tmp_path / "anonymous.json"
+        save_manifest(CorpusManifest([dataclasses.replace(e, speaker_id=None) for e in manifest.entries], 16000), anonymous)
+        rest = {
+            "enroll": ["--features", pipeline / "feats", "--ubm", pipeline / "ubm.json", "--out", tmp_path / "out"],
+            "fratio": ["--filterbanks", pipeline / "fb.json", pipeline / "fb.json", "--out", tmp_path / "out"],
+        }[command]
+        message = {"enroll": "no speaker_ids", "fratio": "need speaker_ids for at least two speakers"}[command]
+        rc, out, err = run(capsys, command, "--manifest", anonymous, *rest)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {anonymous}: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_fratio_one_filterbank_named_before_audio(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path):
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(capsys, "fratio", "--manifest", small_corpus["manifest"], "--filterbanks", pipeline / "fb.json")
+        assert (rc, out, loaded) == (2, "", [])
+        assert err.splitlines() == [f"error: {pipeline / 'fb.json'}: need a second filterbank to compare with"]
+
+    def test_fratio_filter_counts_differ_named_before_audio(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path):
+        fb10 = tmp_path / "fb10.json"
+        assert run(capsys, "learn-filterbank", "--scale-doc", pipeline / "scale.json", "--out", fb10, "--shape", "tri", "--n-filters", 10)[0] == 0
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(capsys, "fratio", "--manifest", small_corpus["manifest"], "--filterbanks", pipeline / "fb.json", fb10)
+        assert (rc, out, loaded) == (2, "", [])
+        assert err.splitlines() == [f"error: {fb10}: n_filters 10 differs from n_filters 20 of {pipeline / 'fb.json'}"]
+
+    def test_score_missing_model_names_models_directory(self, capsys, small_corpus, pipeline, tmp_path):
+        models = tmp_path / "models"
+        shutil.copytree(pipeline / "models", models)
+        enroll_id = small_corpus["trials"].read_text().split("\t")[0]
+        (models / f"{enroll_id}.json").unlink()
+        rc, out, err = run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", models, "--ubm", pipeline / "ubm.json",
+            "--features", pipeline / "feats", "--out", tmp_path / "scores.tsv",
+        )
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {models}: no enrolled model for {enroll_id}"]
+
+
 def with_feature_value(path, value):
     """Rewrite the feature file at path with every value of its first speech frame set to value."""
     fm = read_features(path)
@@ -1683,6 +1806,43 @@ class TestRunConfig:
         assert rc == 2
         assert err.splitlines() == [f"error: {message}"]
         assert out == "" and loaded == [] and not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, frame_len, band, lags",
+        [
+            ('{"frame_ms": 4, "hop_ms": 1}', 64, "50.0 to pitch_f_max_hz 400.0", (40, 16)),
+            ('{"frame_ms": 3, "hop_ms": 1}', 48, "50.0 to pitch_f_max_hz 400.0", (40, 0)),
+            ('{"frame_ms": 5, "hop_ms": 1}', 80, "50.0 to pitch_f_max_hz 400.0", (40, 32)),
+            ('{"pitch_f_min_hz": 50, "pitch_f_max_hz": 55}', 320, "50 to pitch_f_max_hz 55", (291, 272)),
+            ('{"pitch_f_min_hz": 100.05, "pitch_f_max_hz": 100.1}', 320, "100.05 to pitch_f_max_hz 100.1", (160, 159)),
+        ],
+        ids=["frame-4ms", "frame-3ms", "frame-5ms", "band-50-55", "band-100.05-100.1"],
+    )
+    def test_empty_pitch_lag_range_exits_2_before_audio(self, capsys, monkeypatch, small_corpus, tmp_path, text, frame_len, band, lags):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        frame_ms = json.loads(text).get("frame_ms", 20.0)
+        loaded = count_calls(monkeypatch, store, "load_wav")
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", "speech-pitch",
+            "--out", tmp_path / "s.json", "--config", path,
+        )
+        assert rc == 2
+        assert err.splitlines() == [
+            f"error: frame_ms {frame_ms!r} at 16000 Hz: the pitch band pitch_f_min_hz {band} leaves no lag to search "
+            f"in a frame of {frame_len} samples: lag_min {lags[0]} > lag_max {lags[1]}"
+        ]
+        assert out == "" and loaded == [] and not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("scale", ["mel", "speech"])
+    def test_pitch_lag_range_checked_only_for_speech_pitch(self, capsys, small_corpus, tmp_path, scale):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"pitch_f_min_hz": 50, "pitch_f_max_hz": 55}')
+        rc, out, err = run(
+            capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", scale,
+            "--out", tmp_path / "s.json", "--config", path,
+        )
+        assert (rc, err) == (0, "") and out
 
     @pytest.mark.parametrize("command", ["learn-filterbank", "extract", "fratio"])
     def test_pitch_period_checked_only_where_read(self, capsys, small_corpus, pipeline, tmp_path, command):

@@ -14,6 +14,7 @@ from warpfilt.sad import (
     fit_two_gaussians,
     frame_log_energy,
     normalized_autocorrelation,
+    pitch_lags,
     track_pitch,
     voiced_mask,
 )
@@ -114,6 +115,28 @@ class TestTrackPitchReference:
         track = track_pitch(frames, 8000, cfg)
         f0, _ = reference_track(frames, 8000, cfg)
         assert track.voiced.tobytes() == np.isfinite(f0).tobytes()
+
+
+class TestPitchLags:
+    """pitch_lags is the one lag range of the pitch search; track_pitch voices no frame when it is empty."""
+
+    @pytest.mark.parametrize(
+        "frame_len, sr, band, lags",
+        [
+            (320, 16000, (50.0, 400.0), (40, 272)),
+            (88, 16000, (50.0, 400.0), (40, 40)),
+            (64, 16000, (50.0, 400.0), (40, 16)),
+            (320, 16000, (50.0, 55.0), (291, 272)),
+            (160, 8000, (390.0, 400.0), (20, 20)),
+        ],
+    )
+    def test_lag_range(self, frame_len, sr, band, lags):
+        cfg = FeatureConfig(pitch_f_min_hz=band[0], pitch_f_max_hz=band[1])
+        assert pitch_lags(frame_len, sr, cfg) == lags
+
+    def test_empty_range_voices_no_frame(self):
+        frames = mixed_frames(16000, 0)[:, :64]
+        assert not track_pitch(frames, 16000, FeatureConfig(voicing_threshold=0.0)).voiced.any()
 
 
 class TestNormalizedAutocorrelation:

@@ -22,12 +22,11 @@ from warpfilt.store import (
     CorpusManifest,
     ManifestEntry,
     ModelDocument,
-    ModelKindError,
     file_digest,
     filterbank_document,
     filterbank_from_document,
     gmm_document,
-    gmm_from_document,
+    load_document,
     load_manifest,
     load_model,
     load_wav,
@@ -183,8 +182,7 @@ class TestModelDocuments:
         scale = mel_warping_scale(8000.0)
         doc = scale_document(scale, 16000, 512, {"config": {"q": 20}})
         save_model(doc, tmp_path / "scale.json")
-        loaded = load_model(tmp_path / "scale.json", expect_kind="warping-scale")
-        back = scale_from_document(loaded)
+        loaded, back = load_document(tmp_path / "scale.json", "warping-scale")
         assert np.array_equal(back.knots_hz, scale.knots_hz)
         assert np.array_equal(back.knots_warped, scale.knots_warped)
         assert back.kind == scale.kind
@@ -194,7 +192,7 @@ class TestModelDocuments:
         layout = FilterbankLayout(np.array([0, 4, 8, 12, 16]), 16000, 32)
         fb = triangular_responses(layout)
         save_model(filterbank_document(fb), tmp_path / "fb.json")
-        back = filterbank_from_document(load_model(tmp_path / "fb.json", expect_kind="filterbank"))
+        _, back = load_document(tmp_path / "fb.json", "filterbank")
         assert np.array_equal(back.responses, fb.responses)
         assert np.array_equal(back.layout.boundary_bins, layout.boundary_bins)
         assert back.shape_kind == "triangular"
@@ -205,15 +203,32 @@ class TestModelDocuments:
             np.array([0.25, 0.75]), rng.normal(size=(2, 5)), np.abs(rng.normal(size=(2, 5))) + 0.1
         )
         save_model(gmm_document(model, 16000, 512), tmp_path / "g.json")
-        back = gmm_from_document(load_model(tmp_path / "g.json", expect_kind="gmm"))
+        _, back = load_document(tmp_path / "g.json", "gmm")
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.means, model.means)
         assert np.array_equal(back.variances, model.variances)
 
-    def test_wrong_kind_typed_error(self, tmp_path):
-        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))), 0, 0), tmp_path / "g.json")
-        with pytest.raises(ModelKindError):
-            load_model(tmp_path / "g.json", expect_kind="warping-scale")
+    def test_wrong_kind_refused_naming_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))), 0, 0), path)
+        message = f"{path}: expected kind 'warping-scale', found 'gmm'"
+        with pytest.raises(ValueError) as info:
+            load_document(path, "warping-scale")
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            load_model(path, expect_kind="warping-scale")
+        assert str(info.value) == message
+
+    def test_decoding_error_names_file(self, tmp_path):
+        path = tmp_path / "g.json"
+        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))), 0, 0), path)
+        obj = json.loads(path.read_text())
+        obj["payload"]["means"] = [[0.0, "x"]]
+        obj["provenance"]["payload_sha256"] = store._payload_digest(obj["payload"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError) as info:
+            load_document(path, "gmm")
+        assert str(info.value) == f"{path}: means must be a list of lists of numbers"
 
     def test_checksum_mismatch(self, tmp_path):
         path = tmp_path / "s.json"
