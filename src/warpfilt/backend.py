@@ -22,7 +22,13 @@ IMPOSTOR = "impostor"
 
 @dataclass
 class GmmModel:
-    """Diagonal-covariance Gaussian mixture."""
+    """Diagonal-covariance Gaussian mixture.
+
+    Built once with its precisions (1 / variances), log weights (-inf for a dead
+    component, of weight 0) and log_density_constants: per component, sum(mean^2/var)
+    + sum(log var) + D log(2 pi), the part of -2 log N(x) free of x. To change a model,
+    build a new one (dataclasses.replace) rather than edit its arrays.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -44,20 +50,20 @@ class GmmModel:
             raise ValueError("weights must be non-negative")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):
             raise ValueError("variances below floor")
-        bad = np.flatnonzero(~np.isfinite(self.log_density_constants()))
+        self.precisions = 1.0 / self.variances
+        with np.errstate(over="ignore"):
+            self.log_density_constants = (
+                (self.means**2 * self.precisions).sum(axis=1)
+                + np.log(self.variances).sum(axis=1)
+                + d * np.log(2.0 * np.pi)
+            )
+        bad = np.flatnonzero(~np.isfinite(self.log_density_constants))
         if bad.size:
             raise ValueError(
                 f"component {bad[0] + 1} log-density constant is not finite; its means are too large for its variances"
             )
-
-    def log_density_constants(self) -> np.ndarray:
-        """Per component, sum(mean^2/var) + sum(log var) + D log(2 pi): the part of -2 log N(x) free of x."""
-        with np.errstate(over="ignore"):
-            return (
-                (self.means**2 * (1.0 / self.variances)).sum(axis=1)
-                + np.log(self.variances).sum(axis=1)
-                + self.dim * np.log(2.0 * np.pi)
-            )
+        with np.errstate(divide="ignore"):
+            self.log_weights = np.log(self.weights)
 
     @property
     def n_components(self) -> int:
@@ -78,11 +84,10 @@ def component_log_densities(model: GmmModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.dim:
         raise ValueError(f"feature dimension {x.shape[1]} differs from model dimension {model.dim}")
-    precisions = 1.0 / model.variances
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (x * x) @ precisions.T
-        out -= x @ (2.0 * model.means * precisions).T
-        out += model.log_density_constants()
+        out = (x * x) @ model.precisions.T
+        out -= x @ (2.0 * model.means * model.precisions).T
+        out += model.log_density_constants
         out *= -0.5
     if not np.isfinite(out).all():
         raise ValueError("log densities overflow; features too large for the model")
@@ -103,24 +108,14 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(terms.sum(axis=1)) + a_max
 
 
-def _log_joint(model: GmmModel, x: np.ndarray) -> np.ndarray:
-    """log weight + log density per frame and component, shape (N, C).
-
-    A weight of 0 marks a dead component: its log weight is -inf, so it adds nothing
-    to a likelihood and gets no responsibility.
-    """
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(model.weights)
-    return log_weights[None, :] + component_log_densities(model, x)
-
-
 def log_likelihoods(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Per-frame mixture log likelihoods."""
-    return _logsumexp(_log_joint(model, x))
+    return _logsumexp(model.log_weights + component_log_densities(model, x))
 
 
 def _responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float]:
-    log_joint = _log_joint(model, x)
+    """Per-frame component posteriors, and the summed log likelihood; a dead component gets none."""
+    log_joint = model.log_weights + component_log_densities(model, x)
     log_norm = _logsumexp(log_joint)
     return np.exp(log_joint - log_norm[:, None]), float(log_norm.sum())
 

@@ -173,18 +173,34 @@ def _keep_freed_memory():
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
+class _ItemError(ValueError):
+    """A ValueError of one item of a corpus pass, already prefixed with that item's name."""
+
+
+@contextmanager
+def _named(source):
+    """Prefix a ValueError raised in the block with source, unless it already names its item."""
+    try:
+        yield
+    except _ItemError:
+        raise
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from err
+
+
 def _map_ordered(fn, items, jobs: int, name, keep_going: bool = False):
     """Yield fn(item) in item order, on `jobs` threads: the one per-item runner.
 
-    A ValueError from fn(item) is prefixed with name(item) and raised, or with keep_going
-    yielded in place of that item's result. At most 2 * jobs items run ahead of the consumer.
+    A ValueError from fn(item) is prefixed with name(item) and raised as an _ItemError, or
+    with keep_going yielded in place of that item's result. At most 2 * jobs items run
+    ahead of the consumer.
     """
 
     def one(item):
         try:
             return fn(item)
         except ValueError as err:
-            failure = ValueError(f"{name(item)}: {err}")
+            failure = _ItemError(f"{name(item)}: {err}")
             if keep_going:
                 return failure
             raise failure from err
@@ -366,7 +382,8 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
 
         # Yielded in manifest order, so the filterbank does not depend on --jobs.
         log_spectra = _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
-        fb = filterbank.learn_pca_filterbank(log_spectra, layout, shape_kind)
+        with _named(args.manifest):
+            fb = filterbank.learn_pca_filterbank(log_spectra, layout, shape_kind)
     manifest_path = args.manifest if shape_kind != "triangular" else None
     store.save_model(store.filterbank_document(fb, _provenance(cfg, "learn-filterbank", manifest_path)), out)
     print(f"filters\t{fb.n_filters}")
@@ -440,7 +457,8 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
         while label in variants:
             label, copy = f"{stem}#{copy}", copy + 1
         variants[label] = {speaker: np.vstack(group.pop(speaker)) for speaker in speakers}
-    report = analysis.f_ratio_report(variants)
+    with _named(args.manifest):
+        report = analysis.f_ratio_report(variants)
     print(report.to_text())
     if args.out is not None:
         store._atomic_write(args.out, report.to_tsv().encode("utf-8"))
@@ -473,10 +491,8 @@ def cmd_train_ubm(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
     frames = _speech_frames(list(_feature_files(args.features).values()))
-    try:
+    with _named(args.features):
         model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
-    except ValueError as err:
-        raise ValueError(f"{args.features}: {err}") from err
     prov = _provenance(cfg, "train-ubm", None)
     prov["em_log_likelihoods"] = [float(v) for v in history]
     store.save_model(store.gmm_document(model, 0, 0, prov), out)
@@ -557,14 +573,10 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     scores = store.read_scores(args.scores)
     if args.fuse_with is not None:
         other = store.read_scores(args.fuse_with)
-        try:
+        with _named(f"{args.scores} and {args.fuse_with}"):
             scores = backend.fuse_scores(scores, other)
-        except ValueError as err:
-            raise ValueError(f"{args.scores} and {args.fuse_with}: {err}") from err
-    try:
+    with _named(args.scores):
         curve = backend.det_curve(scores)
-    except ValueError as err:
-        raise ValueError(f"{args.scores}: {err}") from err
     c_miss, c_fa, p_tar = backend.COST_PRESETS[cfg.cost_preset]
     eer_value = backend.eer(curve)
     dcf_value = backend.min_dcf(curve, c_miss, c_fa, p_tar)

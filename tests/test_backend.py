@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -342,9 +343,15 @@ class TestGmmModelValidation:
             GmmModel(**params)
 
     def test_log_density_constant_must_be_finite(self):
-        means = np.array([[0.0, 0.0], [1e308, 0.0]])
-        with pytest.raises(ValueError, match="^component 2 log-density constant is not finite"):
-            GmmModel(np.array([0.5, 0.5]), means, np.ones((2, 2)))
+        message = "^component 2 log-density constant is not finite; its means are too large for its variances$"
+        # (1e308)^2 overflows; (1e154)^2 does not, but divided by the variance floor it does.
+        for mean, variance in [(1e308, 1.0), (1e154, VARIANCE_FLOOR)]:
+            means = np.array([[0.0, 0.0], [mean, 0.0]])
+            variances = np.array([[1.0, 1.0], [variance, 1.0]])
+            with pytest.raises(ValueError, match=message):
+                GmmModel(np.array([0.5, 0.5]), means, variances)
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(GmmModel(np.array([0.5, 0.5]), np.zeros((2, 2)), variances), means=means)
 
     def test_overflowing_log_densities_refused(self):
         # (1e153)^2 is finite; divided by the variance floor it is not.
@@ -399,6 +406,52 @@ class TestZeroWeightComponents:
         x = np.random.default_rng(32).normal(size=(20, 2))
         enroll = map_adapt_means(dead, x)
         assert np.isfinite(score_segment([enroll, dead], dead, feature_matrix(x))).all()
+
+
+def expanded_log_densities(model, x):
+    """component_log_densities written out from the model's arrays, each term in the order the backend sums it."""
+    precisions = 1.0 / model.variances
+    constants = (
+        (model.means**2 * (1.0 / model.variances)).sum(axis=1)
+        + np.log(model.variances).sum(axis=1)
+        + model.dim * np.log(2.0 * np.pi)
+    )
+    out = (x * x) @ precisions.T
+    out -= x @ (2.0 * model.means * precisions).T
+    out += constants
+    out *= -0.5
+    return out
+
+
+def expanded_log_likelihoods(model, x):
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(model.weights)
+    return _logsumexp(log_weights[None, :] + expanded_log_densities(model, x))
+
+
+class TestModelTerms:
+    """A GmmModel's precisions, log-density constants and log weights are fixed when it is built."""
+
+    def model(self, rng):
+        """A random 4-component model whose second component is dead."""
+        return GmmModel([0.3, 0.0, 0.5, 0.2], rng.normal(0.0, 2.0, size=(4, 5)), rng.uniform(0.05, 3.0, size=(4, 5)))
+
+    def test_densities_equal_the_expanded_expression_exactly(self):
+        rng = np.random.default_rng(40)
+        model = self.model(rng)
+        x = rng.normal(0.0, 3.0, size=(300, 5))
+        np.testing.assert_array_equal(component_log_densities(model, x), expanded_log_densities(model, x))
+        np.testing.assert_array_equal(log_likelihoods(model, x), expanded_log_likelihoods(model, x))
+
+    def test_replace_gives_a_model_of_the_new_means(self):
+        rng = np.random.default_rng(41)
+        model = self.model(rng)
+        means = rng.normal(0.0, 2.0, size=model.means.shape)
+        moved = dataclasses.replace(model, means=means)
+        x = rng.normal(0.0, 3.0, size=(300, 5))
+        np.testing.assert_array_equal(component_log_densities(moved, x), expanded_log_densities(moved, x))
+        np.testing.assert_array_equal(log_likelihoods(moved, x), expanded_log_likelihoods(moved, x))
+        assert not np.array_equal(log_likelihoods(moved, x), log_likelihoods(model, x))
 
 
 def loop_log_densities(model, x):

@@ -390,6 +390,19 @@ class TestExtract:
         rc, _, _ = run(capsys, "extract", "--manifest", small_corpus["manifest"], "--filterbank", pipeline / "fb.json", "--out", out_dir, "--overwrite")
         assert rc == 0
 
+    def test_outputs_identical_across_jobs(self, capsys, small_corpus, pipeline, tmp_path):
+        runs = []
+        for jobs in (1, 2):
+            out_dir = tmp_path / f"feats{jobs}"
+            rc, out, _ = run(
+                capsys, "extract", "--manifest", small_corpus["manifest"],
+                "--filterbank", pipeline / "fb.json", "--out", out_dir, "--jobs", jobs,
+            )
+            assert rc == 0
+            runs.append((out, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}))
+        assert len(runs[0][1]) == 12
+        assert runs[0] == runs[1]
+
     def test_lock_contention(self, capsys, small_corpus, pipeline, tmp_path):
         out_dir = tmp_path / "feats"
         out_dir.mkdir()
@@ -461,6 +474,7 @@ class TestFratio:
         commands = [
             ["fratio", "--filterbanks", tri_filterbank, pipeline / "fb.json", "--out", tmp_path / "f.tsv"],
             ["learn-scale", "--scale", "speech", "--out", tmp_path / "s.json"],
+            ["learn-filterbank", "--shape", "pca", "--scale-doc", pipeline / "scale.json", "--out", tmp_path / "fb.json"],
         ]
         for command in commands:
             rc, out, err = run(capsys, command[0], "--manifest", tmp_path / "m.json", *command[1:], "--jobs", jobs)
@@ -1206,6 +1220,18 @@ class TestFeatureInputs:
         assert out == "" and not (tmp_path / "ubm.json").exists()
 
 
+def tone_tail_utterance(root):
+    """Utterance `tail` of speaker spkB, whose SAD keeps fewer than two frames.
+
+    It is 0.12 s of 1e-3 noise with a 0.5-amplitude tone in its last 158 samples.
+    """
+    samples = 1e-3 * np.random.default_rng(0).standard_normal(1920)
+    samples[-158:] += 0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(158) / 16000)
+    path = Path(root) / "tail.wav"
+    write_wav(path, AudioSegment(samples, 16000, "tail"))
+    return ManifestEntry("tail", path, "spkB")
+
+
 class TestErrorLinesNameInput:
     """An input that holds too little for its command ends it with exit 2 and one line naming that input."""
 
@@ -1277,6 +1303,31 @@ class TestErrorLinesNameInput:
         rc, out, err = run(capsys, "fratio", "--manifest", small_corpus["manifest"], "--filterbanks", pipeline / "fb.json", fb10)
         assert (rc, out, loaded) == (2, "", [])
         assert err.splitlines() == [f"error: {fb10}: n_filters 10 differs from n_filters 20 of {pipeline / 'fb.json'}"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_learn_filterbank_pca_on_too_few_frames(self, capsys, tmp_path, jobs):
+        manifest = tmp_path / "tail.json"
+        save_manifest(CorpusManifest([tone_tail_utterance(tmp_path)], 16000), manifest)
+        assert run(capsys, "learn-scale", "--scale", "mel", "--manifest", manifest, "--out", tmp_path / "mel.json")[0] == 0
+        rc, out, err = run(
+            capsys, "learn-filterbank", "--shape", "pca", "--manifest", manifest, "--scale-doc", tmp_path / "mel.json",
+            "--out", tmp_path / "fb.json", "--jobs", jobs,
+        )
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {manifest}: need >=2 frames"]
+        assert not (tmp_path / "fb.json").exists()
+
+    def test_fratio_speaker_with_too_few_frames(self, capsys, small_corpus, pipeline, tmp_path):
+        manifest = tmp_path / "m.json"
+        entries = load_manifest(small_corpus["manifest"]).entries + [tone_tail_utterance(tmp_path)]
+        save_manifest(CorpusManifest(entries, 16000), manifest)
+        rc, out, err = run(
+            capsys, "fratio", "--manifest", manifest, "--filterbanks", pipeline / "fb.json", pipeline / "fb.json",
+            "--out", tmp_path / "f.tsv",
+        )
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {manifest}: speaker 'spkB' has fewer than two frames"]
+        assert not (tmp_path / "f.tsv").exists()
 
     def test_score_missing_model_names_models_directory(self, capsys, small_corpus, pipeline, tmp_path):
         models = tmp_path / "models"
