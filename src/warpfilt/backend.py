@@ -41,6 +41,8 @@ class GmmModel:
         c, d = self.means.shape
         if self.weights.shape != (c,) or self.variances.shape != (c, d):
             raise ValueError("inconsistent mixture shapes")
+        if d == 0:
+            raise ValueError("a mixture needs at least one dimension")
         for name in ("weights", "means", "variances"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")

@@ -461,7 +461,7 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
         report = analysis.f_ratio_report(variants)
     print(report.to_text())
     if args.out is not None:
-        store._atomic_write(args.out, report.to_tsv().encode("utf-8"))
+        store.write_text(args.out, report.to_tsv())
     return EXIT_OK
 
 
@@ -495,7 +495,7 @@ def cmd_train_ubm(args, cfg: RunConfig) -> int:
         model, history = backend.train_ubm(frames, cfg.ubm_components, cfg.em_iters, cfg.seed)
     prov = _provenance(cfg, "train-ubm", None)
     prov["em_log_likelihoods"] = [float(v) for v in history]
-    store.save_model(store.gmm_document(model, 0, 0, prov), out)
+    store.save_model(store.gmm_document(model, prov), out)
     print(f"components\t{model.n_components}")
     print(f"frames\t{frames.shape[0]}")
     print(f"final_log_likelihood\t{float(history[-1])!r}")
@@ -518,10 +518,11 @@ def cmd_enroll(args, cfg: RunConfig) -> int:
 
     # Every speaker adapts before any model is written; only the C x D models are kept.
     adapted = list(_map_ordered(adapt, sorted(speakers), 1, "speaker {}".format))
+    prov = _provenance(cfg, "enroll", args.manifest)
     outdir.mkdir(parents=True, exist_ok=True)
     with _directory_lock(outdir):
         for speaker, model, n_frames in adapted:
-            store.save_model(store.gmm_document(model, 0, 0, _provenance(cfg, "enroll", args.manifest)), outdir / f"{speaker}.json")
+            store.save_model(store.gmm_document(model, prov), outdir / f"{speaker}.json")
             print(f"{speaker}\t{n_frames}")
     return EXIT_OK
 
@@ -591,7 +592,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         for row in zip(curve.thresholds, curve.p_miss, curve.p_fa):
             probits = [-math.inf if p == 0.0 else math.inf if p == 1.0 else inv_cdf(p) for p in map(float, row[1:])]
             lines.append("\t".join(repr(float(v)) for v in (*row, *probits)))
-        store._atomic_write(args.det_out, ("\n".join(lines) + "\n").encode("utf-8"))
+        store.write_text(args.det_out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

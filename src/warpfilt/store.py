@@ -6,7 +6,7 @@ import json
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +17,6 @@ from .filterbank import Filterbank, FilterbankLayout
 from .scale import WarpingScale
 
 SCHEMA_VERSION = 1
-MODEL_KINDS = ("warping-scale", "filterbank", "gmm")
-DOCUMENT_KEYS = {"schema_version", "kind", "sample_rate_hz", "n_fft", "payload", "provenance"}
 
 MAX_N_FFT = 1 << 16
 # The largest sample rate a WAV header's 32-bit field holds; it bounds every sample rate and header integer.
@@ -26,6 +24,7 @@ MAX_HEADER_INT = (1 << 32) - 1
 
 FEATURE_MAGIC = b"WFLT"
 FEATURE_VERSION = 1
+FEATURE_HEADER = struct.Struct("<4sIII")  # a .wflt file's magic, version, n_frames and dim
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_IEEE_FLOAT = 3
@@ -44,6 +43,11 @@ def _atomic_write(path: str | Path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str):
+    """Write text as UTF-8, atomically: every text file the package writes goes through here."""
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def _read_text(path: str | Path) -> str:
@@ -146,7 +150,7 @@ def write_wav(path: str | Path, segment: AudioSegment, fmt: str = "pcm16"):
 
 @dataclass
 class ModelDocument:
-    """Versioned serialized model with provenance."""
+    """Versioned serialized model with provenance; its fields are the document's top-level keys."""
 
     kind: str
     sample_rate_hz: int
@@ -156,6 +160,9 @@ class ModelDocument:
     schema_version: int = SCHEMA_VERSION
 
 
+DOCUMENT_KEYS = {f.name for f in fields(ModelDocument)}
+
+
 def _payload_digest(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -163,19 +170,10 @@ def _payload_digest(payload: dict) -> str:
 
 def save_model(doc: ModelDocument, path: str | Path):
     """Write a model document as UTF-8 JSON with a payload checksum."""
-    if doc.kind not in MODEL_KINDS:
+    if not isinstance(doc.kind, str) or doc.kind not in DECODERS:
         raise ValueError(f"unknown model kind: {doc.kind!r}")
-    provenance = dict(doc.provenance)
-    provenance["payload_sha256"] = _payload_digest(doc.payload)
-    obj = {
-        "schema_version": doc.schema_version,
-        "kind": doc.kind,
-        "sample_rate_hz": doc.sample_rate_hz,
-        "n_fft": doc.n_fft,
-        "payload": doc.payload,
-        "provenance": provenance,
-    }
-    _atomic_write(path, (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("utf-8"))
+    provenance = {**doc.provenance, "payload_sha256": _payload_digest(doc.payload)}
+    write_text(path, json.dumps({**vars(doc), "provenance": provenance}, indent=1, sort_keys=True) + "\n")
 
 
 def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocument:
@@ -185,7 +183,7 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
         raise ValueError(f"{path}: unexpected document keys")
     if obj["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {_brief(obj['schema_version'])}")
-    if obj["kind"] not in MODEL_KINDS:
+    if not isinstance(obj["kind"], str) or obj["kind"] not in DECODERS:  # an unhashable list or object too
         raise ValueError(f"{path}: unknown model kind {_brief(obj['kind'])}")
     for part in ("payload", "provenance"):
         if not isinstance(obj[part], dict):
@@ -196,14 +194,7 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
         raise ValueError(f"{path}: checksum mismatch")
     if expect_kind is not None and obj["kind"] != expect_kind:
         raise ValueError(f"{path}: expected kind {expect_kind!r}, found {obj['kind']!r}")
-    return ModelDocument(
-        kind=obj["kind"],
-        sample_rate_hz=obj["sample_rate_hz"],
-        n_fft=obj["n_fft"],
-        payload=obj["payload"],
-        provenance=provenance,
-        schema_version=obj["schema_version"],
-    )
+    return ModelDocument(**{**obj, "provenance": provenance})
 
 
 def _header_int(doc: ModelDocument, name: str, minimum: int) -> int:
@@ -288,15 +279,14 @@ def filterbank_from_document(doc: ModelDocument) -> Filterbank:
     return Filterbank(layout, _payload_array(p, "responses", 2), p.get("shape_kind"))
 
 
-def gmm_document(
-    model: GmmModel, sample_rate_hz: int, n_fft: int, provenance: dict | None = None
-) -> ModelDocument:
+def gmm_document(model: GmmModel, provenance: dict | None = None) -> ModelDocument:
+    """A GMM models cepstra, not spectra, so its document's sample_rate_hz and n_fft are 0."""
     payload = {
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "variances": model.variances.tolist(),
     }
-    return ModelDocument("gmm", sample_rate_hz, n_fft, payload, provenance or {})
+    return ModelDocument("gmm", 0, 0, payload, provenance or {})
 
 
 def gmm_from_document(doc: ModelDocument) -> GmmModel:
@@ -306,12 +296,15 @@ def gmm_from_document(doc: ModelDocument) -> GmmModel:
     return GmmModel(_payload_array(p, "weights", 1), _payload_array(p, "means", 2), _payload_array(p, "variances", 2))
 
 
+# The model kinds, each with the decoder of its payload.
+DECODERS = {"warping-scale": scale_from_document, "filterbank": filterbank_from_document, "gmm": gmm_from_document}
+
+
 def load_document(path: str | Path, kind: str) -> tuple[ModelDocument, object]:
     """The model document of `kind` at path and its decoded object; another kind or a decoding error names the file."""
     doc = load_model(path, expect_kind=kind)
-    decode = {"warping-scale": scale_from_document, "filterbank": filterbank_from_document, "gmm": gmm_from_document}[kind]
     try:
-        return doc, decode(doc)
+        return doc, DECODERS[kind](doc)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
 
@@ -319,33 +312,31 @@ def load_document(path: str | Path, kind: str) -> tuple[ModelDocument, object]:
 # --- Feature files -----------------------------------------------------------
 
 def write_features(fm, path: str | Path):
-    """Binary layout: magic, version u32, n_frames u32, dim u32, packed mask, float64 rows."""
-    header = FEATURE_MAGIC + struct.pack(
-        "<III", FEATURE_VERSION, fm.n_frames, fm.dim
-    )
+    """Binary layout: FEATURE_HEADER, packed mask, float64 rows."""
+    header = FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, fm.n_frames, fm.dim)
     mask_bytes = np.packbits(fm.mask, bitorder="little").tobytes()
     payload = fm.vectors.astype("<f8").tobytes()
     _atomic_write(path, header + mask_bytes + payload)
 
 
 def read_features(path: str | Path):
-    """Read a feature file written by write_features; rejects corrupt headers."""
+    """Read a feature file written by write_features; rejects corrupt headers and dimension 0."""
     from .features import FeatureMatrix
 
     raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != FEATURE_MAGIC:
+    if len(raw) < FEATURE_HEADER.size or not raw.startswith(FEATURE_MAGIC):
         raise ValueError(f"{path}: bad feature-file magic")
-    version, n_frames, dim = struct.unpack("<III", raw[4:16])
+    _, version, n_frames, dim = FEATURE_HEADER.unpack_from(raw)
     if version != FEATURE_VERSION:
         raise ValueError(f"{path}: unsupported feature-file version {version}")
-    mask_len = (n_frames + 7) // 8
-    expected = 16 + mask_len + n_frames * dim * 8
-    if len(raw) != expected:
+    if dim == 0:
+        raise ValueError(f"{path}: feature dimension must be >= 1, got 0")
+    rows_at = FEATURE_HEADER.size + (n_frames + 7) // 8
+    if len(raw) != rows_at + n_frames * dim * 8:
         raise ValueError(f"{path}: truncated feature file")
-    mask = np.unpackbits(
-        np.frombuffer(raw[16 : 16 + mask_len], dtype=np.uint8), bitorder="little"
-    )[:n_frames].astype(bool)
-    vectors = np.frombuffer(raw[16 + mask_len :], dtype="<f8").reshape(n_frames, dim)
+    mask_bits = np.frombuffer(raw[FEATURE_HEADER.size : rows_at], dtype=np.uint8)
+    mask = np.unpackbits(mask_bits, bitorder="little")[:n_frames].astype(bool)
+    vectors = np.frombuffer(raw[rows_at:], dtype="<f8").reshape(n_frames, dim)
     # The Gaussian backend squares every value, so a value whose square overflows is refused here, by file.
     with np.errstate(over="ignore"):
         if not np.isfinite(np.square(vectors)).all():
@@ -402,7 +393,7 @@ def write_scores(scores: TrialScoreSet, path: str | Path):
         if t.score is None:
             raise ValueError("cannot write unscored trials")
         lines.append(f"{t.enroll_id}\t{t.test_id}\t{t.label}\t{float(t.score)!r}")
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_scores(path: str | Path) -> TrialScoreSet:
@@ -514,7 +505,7 @@ def save_manifest(manifest: CorpusManifest, path: str | Path):
             for e in manifest.entries
         ],
     }
-    _atomic_write(path, (json.dumps(obj, indent=1) + "\n").encode("utf-8"))
+    write_text(path, json.dumps(obj, indent=1) + "\n")
 
 
 def file_digest(path: str | Path) -> str:

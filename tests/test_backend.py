@@ -330,6 +330,13 @@ class TestGmmModelValidation:
         with pytest.raises(ValueError, match="^weights must be non-negative$"):
             GmmModel(np.array([1.5, -0.5]), np.zeros((2, 2)), np.ones((2, 2)))
 
+    def test_zero_dimensions_rejected(self):
+        # No model document can hold a mixture of zero dimensions, so none is built.
+        with pytest.raises(ValueError, match="^a mixture needs at least one dimension$"):
+            GmmModel(np.array([1.0]), np.zeros((1, 0)), np.ones((1, 0)))
+        with pytest.raises(ValueError, match="^a mixture needs at least one dimension$"):
+            train_ubm(np.zeros((100, 0)), 2)
+
     def test_variance_floor(self):
         with pytest.raises(ValueError, match="floor"):
             GmmModel(np.array([1.0]), np.zeros((1, 2)), np.full((1, 2), 1e-6))

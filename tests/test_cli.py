@@ -1115,6 +1115,16 @@ class TestExitCodes:
         assert rc == 2 and out == ""
         assert err.splitlines() == [f"error: {bad}: {part} must be an object"]
 
+    @pytest.mark.parametrize("kind", [["gmm"], {"gmm": 1}, 3, None, True])
+    def test_document_kind_of_another_json_type(self, capsys, pipeline, tmp_path, kind):
+        obj = json.loads((pipeline / "scale.json").read_text())
+        obj["kind"] = kind
+        bad = tmp_path / "scale.json"
+        bad.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, "learn-filterbank", "--scale-doc", bad, "--shape", "tri", "--out", tmp_path / "fb.json")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: {bad}: unknown model kind {kind!r}"]
+
 
 class TestTextInputs:
     """A text input that is no UTF-8, no JSON or JSON nested too deep exits 2 with one line naming the file."""
@@ -1207,6 +1217,17 @@ class TestFeatureInputs:
         assert rc == 2
         assert err.splitlines() == [f"error: {feats}: no features for test segment spk1_u03"]
         assert out == "" and not (tmp_path / "scores.tsv").exists()
+
+    def test_train_ubm_refuses_dimension_0_naming_file(self, capsys, tmp_path):
+        # Valid headers of 700 frames and dimension 0: a mask and no values.
+        feats = tmp_path / "feats"
+        feats.mkdir()
+        for name in ("a", "b", "c"):
+            (feats / f"{name}.wflt").write_bytes(struct.pack("<4sIII", b"WFLT", 1, 700, 0) + b"\xff" * 88)
+        rc, out, err = run(capsys, "train-ubm", "--features", feats, "--out", tmp_path / "ubm.json", "--ubm-components", 4)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {feats / 'a.wflt'}: feature dimension must be >= 1, got 0"]
+        assert not (tmp_path / "ubm.json").exists()
 
     def test_train_ubm_names_file_of_other_dimension(self, capsys, pipeline, tmp_path):
         feats = tmp_path / "feats"
@@ -1434,7 +1455,7 @@ class TestScoreChecksModelsAgainstUbm:
     def test_enroll_names_both_feature_dimensions(self, capsys, small_corpus, pipeline, tmp_path):
         dim = read_features(next((pipeline / "feats").glob("*.wflt"))).dim
         ubm = tmp_path / "ubm5.json"
-        store.save_model(store.gmm_document(GmmModel(np.array([0.5, 0.5]), np.zeros((2, 5)), np.ones((2, 5))), 0, 0), ubm)
+        store.save_model(store.gmm_document(GmmModel(np.array([0.5, 0.5]), np.zeros((2, 5)), np.ones((2, 5)))), ubm)
         rc, out, err = run(
             capsys, "enroll", "--manifest", small_corpus["enroll"], "--features", pipeline / "feats", "--ubm", ubm,
             "--out", tmp_path / "models",

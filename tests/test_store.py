@@ -202,7 +202,7 @@ class TestModelDocuments:
         model = GmmModel(
             np.array([0.25, 0.75]), rng.normal(size=(2, 5)), np.abs(rng.normal(size=(2, 5))) + 0.1
         )
-        save_model(gmm_document(model, 16000, 512), tmp_path / "g.json")
+        save_model(gmm_document(model), tmp_path / "g.json")
         _, back = load_document(tmp_path / "g.json", "gmm")
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.means, model.means)
@@ -210,7 +210,7 @@ class TestModelDocuments:
 
     def test_wrong_kind_refused_naming_file(self, tmp_path):
         path = tmp_path / "g.json"
-        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))), 0, 0), path)
+        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))), path)
         message = f"{path}: expected kind 'warping-scale', found 'gmm'"
         with pytest.raises(ValueError) as info:
             load_document(path, "warping-scale")
@@ -221,7 +221,7 @@ class TestModelDocuments:
 
     def test_decoding_error_names_file(self, tmp_path):
         path = tmp_path / "g.json"
-        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))), 0, 0), path)
+        save_model(gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))), path)
         obj = json.loads(path.read_text())
         obj["payload"]["means"] = [[0.0, "x"]]
         obj["provenance"]["payload_sha256"] = store._payload_digest(obj["payload"])
@@ -282,6 +282,28 @@ class TestModelDocuments:
             scale_from_document(load_model(path))
         assert str(info.value) == f"knots_hz must end at sample_rate_hz / 2 = 8000.0, got {nyquist!r}"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            scale_document(mel_warping_scale(4000.0), 8000, 256, {"config": {"scale": "mel"}}),
+            filterbank_document(triangular_responses(FilterbankLayout(np.array([0, 4, 8, 12, 16]), 16000, 32))),
+            gmm_document(GmmModel(np.array([0.25, 0.75]), np.arange(6.0).reshape(2, 3), np.ones((2, 3))), {"seed": 3}),
+        ],
+        ids=lambda doc: doc.kind,
+    )
+    def test_saved_document_loads_field_for_field(self, tmp_path, doc):
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(doc, path)
+        loaded = load_model(path, doc.kind)
+        assert loaded == doc  # provenance without its checksum, as load_model returns it
+        assert json.loads(path.read_text())["provenance"] == {**doc.provenance, "payload_sha256": store._payload_digest(doc.payload)}
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_gmm_document_header_is_zero(self):
+        doc = gmm_document(GmmModel(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))))
+        assert (doc.sample_rate_hz, doc.n_fft) == (0, 0)
+
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown model kind"):
             save_model(ModelDocument("embedding", 0, 0, {}), tmp_path / "x.json")
@@ -293,6 +315,13 @@ class TestModelDocuments:
         path.write_text(obj.replace('"kind"', '"sort"', 1))
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_document_keys_are_the_model_document_fields(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_model(scale_document(mel_warping_scale(4000.0), 8000, 256), path)
+        assert set(json.loads(path.read_text())) == {
+            "schema_version", "kind", "sample_rate_hz", "n_fft", "payload", "provenance"
+        } == store.DOCUMENT_KEYS
 
     def test_provenance_digest_tracks_payload(self):
         a = scale_document(mel_warping_scale(4000.0), 8000, 256)
@@ -344,6 +373,17 @@ class TestFeatureFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: feature values must have finite squares$"):
             read_features(path)
+
+    def test_dimension_0_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "flat.wflt"
+        write_features(FeatureMatrix(np.zeros((700, 0)), np.ones(700, dtype=bool)), path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: feature dimension must be >= 1, got 0$"):
+            read_features(path)
+
+    def test_header_is_magic_version_frames_dim(self, tmp_path):
+        path = tmp_path / "u.wflt"
+        write_features(self.make(9, 4), path)
+        assert struct.unpack("<4sIII", path.read_bytes()[:16]) == (b"WFLT", 1, 9, 4)
 
     def test_truncation_rejected(self, tmp_path):
         path = tmp_path / "trunc.wflt"
