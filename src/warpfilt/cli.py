@@ -22,9 +22,6 @@ from .features import extract_features, filterbank_log_energies, utterance_spect
 
 logger = logging.getLogger("warpfilt.cli")  # not __name__, which is "__main__" under python -m
 
-SCALE_FLAGS = {"mel": "mel", "speech": "speech-based", "speech-pitch": "speech-based-pitch"}
-SHAPE_FLAGS = {"tri": "triangular", "pca": "pca", "wpca": "windowed-pca", "wpca-norm": "windowed-pca-normalized"}
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -54,9 +51,9 @@ class RunConfig(FeatureConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.scale not in SCALE_FLAGS:
+        if self.scale not in scale.SCALE_KINDS:
             raise ValueError(f"unknown scale {_brief(self.scale)}")
-        if self.shape not in SHAPE_FLAGS:
+        if self.shape not in filterbank.SHAPE_KINDS:
             raise ValueError(f"unknown shape {_brief(self.shape)}")
         if self.cost_preset not in backend.COST_PRESETS:
             raise ValueError(f"unknown cost preset {_brief(self.cost_preset)}")
@@ -115,8 +112,8 @@ READS = {
 
 # The fields with a flag, --name-with-dashes, and its argparse options.
 _FLAGS = {
-    "scale": dict(choices=sorted(SCALE_FLAGS)),
-    "shape": dict(choices=sorted(SHAPE_FLAGS)),
+    "scale": dict(choices=sorted(scale.SCALE_KINDS)),
+    "shape": dict(choices=sorted(filterbank.SHAPE_KINDS)),
     "cost_preset": dict(choices=sorted(backend.COST_PRESETS)),
     **dict.fromkeys(["n_filters", "ubm_components", "em_iters"], dict(type=int)),
     **dict.fromkeys(["subsample_fraction", "relevance"], dict(type=float)),
@@ -328,7 +325,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
     sr = manifest.sample_rate_hz
     frame_len = _frame_length(cfg, sr, "learn-scale")
     n_fft = next_pow2(frame_len)
-    kind = SCALE_FLAGS[cfg.scale]
+    kind = scale.SCALE_KINDS[cfg.scale]
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
     else:
@@ -362,7 +359,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
 def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
-    shape_kind = SHAPE_FLAGS[cfg.shape]
+    shape_kind = filterbank.SHAPE_KINDS[cfg.shape]
     if shape_kind != "triangular":
         if args.manifest is None:
             raise ValueError("PCA filter shapes need --manifest for the corpus pass")

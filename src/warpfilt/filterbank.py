@@ -10,7 +10,8 @@ from .scale import WarpingScale
 
 logger = logging.getLogger(__name__)
 
-SHAPE_KINDS = ("triangular", "pca", "windowed-pca", "windowed-pca-normalized")
+# The --shape flag of each filter shape kind, flag -> kind.
+SHAPE_KINDS = {"tri": "triangular", "pca": "pca", "wpca": "windowed-pca", "wpca-norm": "windowed-pca-normalized"}
 
 _BLOCK_FRAMES = 8192
 _BLOCK_BYTES = 64 << 20
@@ -64,7 +65,7 @@ class Filterbank:
             raise ValueError("responses must be shaped n_filters x n_bins")
         if not np.isfinite(self.responses).all():
             raise ValueError("responses must be finite")
-        if self.shape_kind not in SHAPE_KINDS:
+        if self.shape_kind not in SHAPE_KINDS.values():
             raise ValueError(f"unknown shape kind: {_brief(self.shape_kind)}")
 
     @property
@@ -181,12 +182,12 @@ def learn_pca_filterbank(log_spectra, layout: FilterbankLayout, kind: str) -> Fi
     """Per-filter dominant PCA basis of subband log spectra, zero-padded to full band.
 
     log_spectra is an iterable of batches, as subband_covariance takes. kind is one of
-    the PCA SHAPE_KINDS: the windowed kinds taper each subband with a Hamming window w,
+    the PCA kinds in SHAPE_KINDS: the windowed kinds taper each subband with a Hamming window w,
     which turns the subband covariance C into w w^T * C elementwise, and
     "windowed-pca-normalized" scales each response to unit peak. Degenerate
     (zero-variance) subbands fall back to the triangular response.
     """
-    if kind == "triangular" or kind not in SHAPE_KINDS:
+    if kind == "triangular" or kind not in SHAPE_KINDS.values():
         raise ValueError(f"not a PCA shape kind: {kind!r}")
     covariances = subband_covariance(log_spectra, layout)
     responses = np.zeros((layout.n_filters, layout.n_bins))

@@ -9,7 +9,8 @@ from .dsp import PowerSpectrogram, _brief
 
 AREA_SHIFT = 1e-6
 MEL_KNOTS = 512
-SCALE_KINDS = ("mel", "speech-based", "speech-based-pitch")
+# The --scale flag of each scale kind, flag -> kind.
+SCALE_KINDS = {"mel": "mel", "speech": "speech-based", "speech-pitch": "speech-based-pitch"}
 
 
 @dataclass
@@ -17,7 +18,6 @@ class Ltas:
     """Mean short-time power spectrum over the selected frames of one source."""
 
     values: np.ndarray
-    n_frames_accumulated: int
     bin_hz: float
 
     def __post_init__(self):
@@ -45,7 +45,7 @@ class WarpingScale:
     def __post_init__(self):
         self.knots_hz = np.asarray(self.knots_hz, dtype=np.float64)
         self.knots_warped = np.asarray(self.knots_warped, dtype=np.float64)
-        if self.kind not in SCALE_KINDS:
+        if self.kind not in SCALE_KINDS.values():
             raise ValueError(f"unknown scale kind: {_brief(self.kind)}")
         if self.knots_hz.shape != self.knots_warped.shape or self.knots_hz.ndim != 1:
             raise ValueError("knot arrays must be one-dimensional and equal-length")
@@ -73,10 +73,9 @@ def compute_ltas(spec: PowerSpectrogram, mask: np.ndarray) -> Ltas:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (spec.n_frames,):
         raise ValueError("mask length must equal the frame count")
-    n_sel = int(mask.sum())
-    if n_sel == 0:
+    if not mask.any():
         raise ValueError("no frames selected")
-    return Ltas(spec.frames[mask].mean(axis=0), n_sel, spec.bin_hz)
+    return Ltas(spec.frames[mask].mean(axis=0), spec.bin_hz)
 
 
 def average_ltas(ltas_list) -> Ltas:
@@ -87,17 +86,16 @@ def average_ltas(ltas_list) -> Ltas:
     total = None
     for n, item in enumerate(ltas_list, start=1):
         if total is None:
-            total, frames, bin_hz = item.values.copy(), 0, item.bin_hz
+            total, bin_hz = item.values.copy(), item.bin_hz
         elif item.values.size != total.size:
             raise ValueError("mismatched LTAS lengths")
         elif item.bin_hz != bin_hz:
             raise ValueError("mismatched bin spacing")
         else:
             total += item.values
-        frames += item.n_frames_accumulated
     if total is None:
         raise ValueError("empty LTAS list")
-    return Ltas(total / n, frames, bin_hz)
+    return Ltas(total / n, bin_hz)
 
 
 def _shifted_log(values: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import GmmModel, Trial, TrialScoreSet
+from .backend import IMPOSTOR, TARGET, GmmModel, Trial, TrialScoreSet
 from .dsp import AudioSegment, _brief
 from .filterbank import Filterbank, FilterbankLayout
 from .scale import WarpingScale
@@ -181,7 +181,7 @@ def load_model(path: str | Path, expect_kind: str | None = None) -> ModelDocumen
     obj = read_json(path)
     if not isinstance(obj, dict) or set(obj) != DOCUMENT_KEYS:
         raise ValueError(f"{path}: unexpected document keys")
-    if obj["schema_version"] != SCHEMA_VERSION:
+    if type(obj["schema_version"]) is not int or obj["schema_version"] != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise ValueError(f"{path}: unsupported schema version {_brief(obj['schema_version'])}")
     if not isinstance(obj["kind"], str) or obj["kind"] not in DECODERS:  # an unhashable list or object too
         raise ValueError(f"{path}: unknown model kind {_brief(obj['kind'])}")
@@ -366,7 +366,7 @@ def _trial_lines(path: str | Path, n_fields: int, what: str):
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) != n_fields or parts[2] not in ("target", "impostor"):
+        if len(parts) != n_fields or parts[2] not in (TARGET, IMPOSTOR):
             raise ValueError(f"{path}:{lineno}: malformed {what} line")
         key = (parts[0], parts[1])
         if key in seen:

@@ -90,7 +90,7 @@ def test_criterion_02_equal_area_partition():
         q = int(rng.integers(2, 9))
         k = int(rng.integers(q + 1, 65))
         values = rng.uniform(0.01, 10.0, size=k)
-        part = equal_area_partition(Ltas(values, 1, 1.0), q)
+        part = equal_area_partition(Ltas(values, 1.0), q)
         log_v = np.log(values)
         areas_vec = log_v - log_v.min() + AREA_SHIFT
         max_bin = areas_vec.max()
@@ -107,7 +107,7 @@ def test_criterion_02_equal_area_partition():
 def test_criterion_03_warping_scale():
     rng = np.random.default_rng(3)
     # uniform spectrum: linear scale, knots within one bin
-    part = equal_area_partition(Ltas(np.ones(257), 1, 1.0), 8)
+    part = equal_area_partition(Ltas(np.ones(257), 1.0), 8)
     uniform = build_warping_scale(part, 1.0, 256.0)
     deviation = np.abs(uniform.knots_hz - uniform.knots_warped * 256.0).max()
     assert deviation <= 1.0
@@ -122,7 +122,7 @@ def test_criterion_03_warping_scale():
     for _ in range(100):
         values = rng.uniform(0.01, 5.0, size=129)
         learned = build_warping_scale(
-            equal_area_partition(Ltas(values, 1, 1.0), 10), 1.0, 128.0
+            equal_area_partition(Ltas(values, 1.0), 10), 1.0, 128.0
         )
         assert np.all(np.diff(learned.knots_hz) > 0)
         assert np.all(np.diff(learned.knots_warped) > 0)

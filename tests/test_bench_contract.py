@@ -72,7 +72,7 @@ def hooked_calls(tmp_path):
     fm = FeatureMatrix(np.ones((3, 2)), np.array([True, False, True]))
     tone = np.sin(2 * np.pi * 150.0 * np.arange(2 * 320) / 16000).reshape(2, 320)
     model = backend.GmmModel(np.array([0.5, 0.5]), np.zeros((2, 3)), np.ones((2, 3)))
-    ltas = scale.Ltas(np.linspace(1.0, 2.0, 9), 1, 1000.0)
+    ltas = scale.Ltas(np.linspace(1.0, 2.0, 9), 1000.0)
     return [
         ("store.load_wav", (wav,)),
         ("store.save_model", (doc, tmp_path / "s.json")),

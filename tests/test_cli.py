@@ -26,8 +26,8 @@ from warpfilt.cli import RunConfig, load_config, main
 from warpfilt.dsp import AudioSegment
 from warpfilt.backend import GmmModel
 from warpfilt.features import FeatureMatrix
-from warpfilt.filterbank import place_filter_edges, triangular_responses
-from warpfilt.scale import mel_warping_scale
+from warpfilt.filterbank import SHAPE_KINDS, Filterbank, place_filter_edges, triangular_responses
+from warpfilt.scale import SCALE_KINDS, WarpingScale, mel_warping_scale
 from warpfilt.store import (
     CorpusManifest,
     ManifestEntry,
@@ -184,6 +184,7 @@ class TestLearnScale:
         )
         assert rc == 0, err
         assert len(out.strip().splitlines()) == n_filters + 2  # the knots: band midpoints and both ends
+        assert load_model(tmp_path / "s.json").payload["scale_kind"] == SCALE_KINDS[scale]
 
     def test_speech_pitch_document_identical_across_jobs(self, capsys, small_corpus, tmp_path):
         outputs = {}
@@ -297,7 +298,7 @@ class TestLearnFilterbank:
 
     def test_four_shapes_share_layout(self, capsys, small_corpus, pipeline, tmp_path):
         payloads = {}
-        for shape in ("tri", "pca", "wpca", "wpca-norm"):
+        for shape in SHAPE_KINDS:
             rc, _, _ = run(
                 capsys, "learn-filterbank", "--manifest", small_corpus["manifest"],
                 "--scale-doc", pipeline / "scale.json", "--out", tmp_path / f"{shape}.json",
@@ -305,6 +306,7 @@ class TestLearnFilterbank:
             )
             assert rc == 0
             payloads[shape] = load_model(tmp_path / f"{shape}.json").payload
+            assert payloads[shape]["shape_kind"] == SHAPE_KINDS[shape]
         bins = {shape: tuple(p["boundary_bins"]) for shape, p in payloads.items()}
         assert len(set(bins.values())) == 1
         responses = {shape: json.dumps(p["responses"]) for shape, p in payloads.items()}
@@ -593,6 +595,16 @@ class TestDocumentChecks:
         rc, out, err = run(capsys, *[paths.get(a, a) for a in command])
         assert rc == 2 and out == ""
         assert err.splitlines() == [f"error: {named}: expected kind {expected!r}, found {found!r}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_schema_version_must_be_the_integer(self, capsys, pipeline, tmp_path, version):
+        # JSON true and 1.0 compare equal to 1 in Python, but are not schema version 1.
+        bad = tmp_path / "scale.json"
+        bad.write_text(json.dumps({**json.loads((pipeline / "scale.json").read_text()), "schema_version": version}))
+        rc, out, err = run(capsys, "learn-filterbank", "--scale-doc", bad, "--shape", "tri", "--out", tmp_path / "out")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {bad}: unsupported schema version {brief(version)}"]
         assert not (tmp_path / "out").exists()
 
     def test_extract_checks_n_ceps_once(self, small_corpus, pipeline, tmp_path):
@@ -2395,6 +2407,35 @@ class TestReadsTable:
                 command = cells[1].strip("`")
                 rows[command] = {name for name in re.findall(r"`([a-z_]+)`", cells[2]) if name in CONFIG_FIELDS}
         assert rows == {command: set(fields) for command, fields in cli.READS.items()}
+
+
+class TestKindTables:
+    """scale.SCALE_KINDS and filterbank.SHAPE_KINDS map each --scale and --shape flag to the kind it names."""
+
+    def test_each_flag_names_one_accepted_kind(self):
+        layout = place_filter_edges(mel_warping_scale(8000.0), 4, 64, 16000)
+        for table, build in [
+            (SCALE_KINDS, lambda kind: WarpingScale([0.0, 4000.0, 8000.0], [0.0, 0.5, 1.0], kind)),
+            (SHAPE_KINDS, lambda kind: Filterbank(layout, triangular_responses(layout).responses, kind)),
+        ]:
+            assert len(set(table.values())) == len(table)
+            for kind in table.values():
+                build(kind)
+            for flag in set(table) - set(table.values()):  # a flag that is not itself a kind
+                with pytest.raises(ValueError, match="unknown"):
+                    build(flag)
+
+    def test_flag_choices_are_table_keys(self):
+        parsers = subcommand_parsers()
+        for command, dest, table in [("learn-scale", "scale", SCALE_KINDS), ("learn-filterbank", "shape", SHAPE_KINDS)]:
+            (action,) = [a for a in parsers[command]._actions if a.dest == dest]
+            assert action.choices == sorted(table)
+
+    def test_readme_flag_lists_are_table_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        for flag, table in [("scale", SCALE_KINDS), ("shape", SHAPE_KINDS)]:
+            (listed,) = re.findall(rf"`--{flag} {{([^}}`]*)}}`", readme)
+            assert listed.split("|") == list(table), flag
 
 
 class TestZeroWeightUbm:

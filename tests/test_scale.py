@@ -47,7 +47,6 @@ class TestComputeLtas:
         spec = PowerSpectrogram(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]), 4, 16000)
         ltas = compute_ltas(spec, np.array([True, True]))
         assert np.array_equal(ltas.values, [2.0, 2.0, 2.0])
-        assert ltas.n_frames_accumulated == 2
 
     def test_single_frame_identity(self):
         spec = PowerSpectrogram(np.array([[5.0, 1.0, 0.5]]), 4, 16000)
@@ -70,26 +69,26 @@ class TestComputeLtas:
 
 class TestAverageLtas:
     def test_symmetric_pair(self):
-        a = Ltas(np.array([0.0, 2.0]), 10, 1.0)
-        b = Ltas(np.array([2.0, 0.0]), 30, 1.0)
+        a = Ltas(np.array([0.0, 2.0]), 1.0)
+        b = Ltas(np.array([2.0, 0.0]), 1.0)
         assert np.array_equal(average_ltas([a, b]).values, [1.0, 1.0])
 
     def test_single_identity(self):
-        a = Ltas(np.array([1.0, 2.0]), 5, 1.0)
+        a = Ltas(np.array([1.0, 2.0]), 1.0)
         assert np.array_equal(average_ltas([a]).values, a.values)
 
     def test_idempotent_over_copies(self):
-        a = Ltas(np.array([0.5, 1.5, 2.5]), 5, 1.0)
+        a = Ltas(np.array([0.5, 1.5, 2.5]), 1.0)
         avg = average_ltas([a] * 7)
         assert np.allclose(avg.values, a.values, atol=1e-15)
 
     def test_mismatched_k(self):
         with pytest.raises(ValueError, match="mismatched"):
-            average_ltas([Ltas(np.ones(3), 1, 1.0), Ltas(np.ones(4), 1, 1.0)])
+            average_ltas([Ltas(np.ones(3), 1.0), Ltas(np.ones(4), 1.0)])
 
     def test_mismatched_bin_spacing(self):
         with pytest.raises(ValueError, match="mismatched bin spacing"):
-            average_ltas(iter([Ltas(np.ones(3), 1, 1.0), Ltas(np.ones(3), 1, 2.0)]))
+            average_ltas(iter([Ltas(np.ones(3), 1.0), Ltas(np.ones(3), 2.0)]))
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
@@ -99,7 +98,7 @@ class TestAverageLtas:
     def generated(n, k=4097):
         rng = np.random.default_rng(n)
         for i in range(n):
-            yield Ltas(rng.exponential(size=k), i + 1, 3.90625)
+            yield Ltas(rng.exponential(size=k), 3.90625)
 
     def test_generator_in_one_running_sum(self):
         """Memory holds a few K-vectors however many LTAS arrive, and the average is np.mean's, bit for bit."""
@@ -112,7 +111,7 @@ class TestAverageLtas:
             tracemalloc.stop()
             stacked = np.stack([item.values for item in self.generated(n)])
             assert np.array_equal(avg.values, np.mean(stacked, axis=0))
-            assert (avg.n_frames_accumulated, avg.bin_hz) == (n * (n + 1) // 2, 3.90625)
+            assert avg.bin_hz == 3.90625
         assert abs(peaks[2000] - peaks[20]) < 4 * 4097 * 8, peaks
 
 
@@ -171,7 +170,7 @@ def earlier_search_spread(areas, q):
 
 class TestPartition:
     def test_flat_spectrum_uniform_bands(self):
-        part = equal_area_partition(Ltas(np.ones(256), 1, 1.0), 4)
+        part = equal_area_partition(Ltas(np.ones(256), 1.0), 4)
         assert part.bands == [(0, 63), (64, 127), (128, 191), (192, 255)]
 
     def test_documented_two_band_split(self):
@@ -181,7 +180,7 @@ class TestPartition:
 
     def test_more_bands_than_bins(self):
         with pytest.raises(ValueError, match="more bands than bins"):
-            equal_area_partition(Ltas(np.ones(3), 1, 1.0), 4)
+            equal_area_partition(Ltas(np.ones(3), 1.0), 4)
 
     def test_invariants_and_brute_force_on_random_spectra(self):
         rng = np.random.default_rng(2)
@@ -189,7 +188,7 @@ class TestPartition:
             k = int(rng.integers(6, 18))
             q = int(rng.integers(2, min(6, k) + 1))
             values = rng.uniform(0.01, 5.0, size=k)
-            part = equal_area_partition(Ltas(values, 1, 1.0), q)
+            part = equal_area_partition(Ltas(values, 1.0), q)
             areas_vec = shifted_log(values)
             # contiguity and coverage
             assert part.bands[0][0] == 0 and part.bands[-1][1] == k - 1
@@ -252,7 +251,7 @@ class TestPartition:
 
 class TestBuildWarpingScale:
     def test_flat_partition_linear(self):
-        part = equal_area_partition(Ltas(np.ones(256), 1, 1.0), 4)
+        part = equal_area_partition(Ltas(np.ones(256), 1.0), 4)
         scale = build_warping_scale(part, 1.0, 255.0)
         deviation = np.abs(scale.knots_hz - scale.knots_warped * 255.0)
         assert deviation.max() <= 1.0  # within one bin of linear
@@ -280,7 +279,7 @@ class TestBuildWarpingScale:
         rng = np.random.default_rng(3)
         for _ in range(50):
             values = rng.uniform(0.01, 4.0, size=64)
-            part = equal_area_partition(Ltas(values, 1, 1.0), 8)
+            part = equal_area_partition(Ltas(values, 1.0), 8)
             scale = build_warping_scale(part, 1.0, 63.0)
             assert np.all(np.diff(scale.knots_hz) > 0)
             assert np.all(np.diff(scale.knots_warped) > 0)
@@ -288,7 +287,7 @@ class TestBuildWarpingScale:
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(4)
         values = rng.uniform(0.1, 3.0, size=128)
-        part = equal_area_partition(Ltas(values, 1, 1.0), 10)
+        part = equal_area_partition(Ltas(values, 1.0), 10)
         scale = build_warping_scale(part, 1.0, 127.0)
         f = rng.uniform(0.0, 127.0, size=1000)
         back = scale.inverse(scale.warp(f))
