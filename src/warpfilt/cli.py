@@ -46,7 +46,6 @@ class RunConfig(FeatureConfig):
     relevance: float = 14.0
     seed: int = 0
     jobs: int = 1
-    subsample_fraction: float = 1.0
     cost_preset: str = "nist-sre"
 
     def __post_init__(self):
@@ -57,8 +56,6 @@ class RunConfig(FeatureConfig):
             raise ValueError(f"unknown shape {_brief(self.shape)}")
         if self.cost_preset not in backend.COST_PRESETS:
             raise ValueError(f"unknown cost preset {_brief(self.cost_preset)}")
-        if not 0.0 < self.subsample_fraction <= 1.0:
-            raise ValueError("subsample_fraction must lie in (0, 1]")
         for name in ("jobs", "ubm_components", "em_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {_brief(getattr(self, name))}")
@@ -99,9 +96,8 @@ def load_config(path: str | Path | None, overrides: dict) -> RunConfig:
 # table); they make its flags and the provenance of the documents it writes.
 _FRONT_END = ("frame_ms", "hop_ms", "preemph")
 READS = {
-    "learn-scale": ("scale", *_FRONT_END, "n_filters", "subsample_fraction", "seed", "jobs",
-                    "pitch_f_min_hz", "pitch_f_max_hz", "voicing_threshold"),
-    "learn-filterbank": ("shape", "n_filters", *_FRONT_END, "subsample_fraction", "seed", "jobs"),
+    "learn-scale": ("scale", *_FRONT_END, "n_filters", "jobs", "pitch_f_min_hz", "pitch_f_max_hz", "voicing_threshold"),
+    "learn-filterbank": ("shape", "n_filters", *_FRONT_END, "jobs"),
     "extract": (*_FRONT_END, "n_ceps", "delta_window", "rasta_enabled", "cmvn_enabled", "jobs"),
     "fratio": (*_FRONT_END, "jobs"),
     "train-ubm": ("ubm_components", "em_iters", "seed"),
@@ -116,8 +112,8 @@ _FLAGS = {
     "shape": dict(choices=sorted(filterbank.SHAPE_KINDS)),
     "cost_preset": dict(choices=sorted(backend.COST_PRESETS)),
     **dict.fromkeys(["n_filters", "ubm_components", "em_iters"], dict(type=int)),
-    **dict.fromkeys(["subsample_fraction", "relevance"], dict(type=float)),
-    "seed": dict(type=int, help=f"random seed (default {RunConfig.seed})"),
+    "relevance": dict(type=float),
+    "seed": dict(type=int, help=f"seed of the UBM's k-means initialization (default {RunConfig.seed})"),
     "jobs": dict(type=int, help=f"parallel workers over utterances or test segments (>= 1, default {RunConfig.jobs})"),
 }
 
@@ -253,10 +249,10 @@ def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: boo
     return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}", keep_going)
 
 
-def _frame_length(cfg: RunConfig, sample_rate_hz: int, command: str) -> int:
+def _frame_length(cfg: RunConfig, sample_rate_hz: int, reads) -> int:
     """The frame length in samples at the manifest rate, checked once per command before any audio.
 
-    A frame, a hop and the longest pitch period, of those the command reads, must each
+    A frame, a hop and the longest pitch period, of those whose fields are in reads, must each
     span a finite number of samples that rounds to at least one, and the n_fft that
     holds a frame must obey the document rule; a ValueError names the field that does not.
     """
@@ -267,7 +263,7 @@ def _frame_length(cfg: RunConfig, sample_rate_hz: int, command: str) -> int:
         "pitch_f_min_hz": ("the longest pitch period", sr / cfg.pitch_f_min_hz),
     }
     for field, (what, samples) in spans.items():
-        if field in READS[command] and not 0.5 < samples < math.inf:
+        if field in reads and not 0.5 < samples < math.inf:
             raise ValueError(
                 f"{field} {_brief(getattr(cfg, field))} at {sr} Hz: {what} spans {samples!r} samples; "
                 "need a finite count that rounds to at least 1"
@@ -287,7 +283,7 @@ def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig, command: str) ->
     that n_fft must hold a frame; a ValueError names the first document that does not.
     """
     first, first_doc = docs[0]
-    frame_len = _frame_length(cfg, sample_rate_hz, command)
+    frame_len = _frame_length(cfg, sample_rate_hz, READS[command])
     for path, doc in docs:
         if doc.sample_rate_hz != sample_rate_hz:
             raise ValueError(f"{path}: sample_rate_hz {doc.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
@@ -296,16 +292,6 @@ def _check_documents(docs, sample_rate_hz: int, cfg: RunConfig, command: str) ->
         if doc.n_fft < frame_len:
             raise ValueError(f"{path}: n_fft {doc.n_fft} is shorter than a frame of {frame_len} samples")
     return first_doc.n_fft
-
-
-def _subsample(entries, fraction: float, seed: int):
-    if fraction >= 1.0:
-        return entries
-    n_used = max(1, math.ceil(fraction * len(entries)))
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(entries), size=n_used, replace=False))
-    logger.info("subsampling %d of %d utterances", n_used, len(entries))
-    return [entries[i] for i in idx]
 
 
 def _provenance(cfg: RunConfig, command: str, manifest_path: str | None) -> dict:
@@ -323,9 +309,11 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
     _refuse_existing([out], args.overwrite)
     manifest = store.load_manifest(args.manifest)
     sr = manifest.sample_rate_hz
-    frame_len = _frame_length(cfg, sr, "learn-scale")
-    n_fft = next_pow2(frame_len)
     kind = scale.SCALE_KINDS[cfg.scale]
+    # A mel scale reads only the frame length; a speech scale reads no pitch field.
+    reads = {"mel": ("frame_ms",), "speech-based": ("frame_ms", "hop_ms")}.get(kind, READS["learn-scale"])
+    frame_len = _frame_length(cfg, sr, reads)
+    n_fft = next_pow2(frame_len)
     if kind == "mel":
         warping = scale.mel_warping_scale(sr / 2.0)
     else:
@@ -340,12 +328,11 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
                     f"to pitch_f_max_hz {_brief(cfg.pitch_f_max_hz)} leaves no lag to search in a frame of {frame_len} "
                     f"samples: lag_min {lag_min} > lag_max {lag_max}"
                 )
-        entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
 
         def ltas(seg):
             return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"))
 
-        avg = scale.average_ltas(_utterance_pass(entries, sr, cfg.jobs, ltas))
+        avg = scale.average_ltas(_utterance_pass(manifest.entries, sr, cfg.jobs, ltas))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
         warping = scale.build_warping_scale(partition, avg.bin_hz, sr / 2.0, kind)
     doc = store.scale_document(warping, sr, n_fft, _provenance(cfg, "learn-scale", args.manifest))
@@ -371,14 +358,13 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
         fb = filterbank.triangular_responses(layout)
     else:
         _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg, "learn-filterbank")
-        entries = _subsample(manifest.entries, cfg.subsample_fraction, cfg.seed)
 
         def speech_log_spectra(seg):
             spec, mask = utterance_spectra(seg, cfg, n_fft)
             return np.log(spec.frames[mask] + sad.ENERGY_EPS)
 
         # Yielded in manifest order, so the filterbank does not depend on --jobs.
-        log_spectra = _utterance_pass(entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
+        log_spectra = _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
         with _named(args.manifest):
             fb = filterbank.learn_pca_filterbank(log_spectra, layout, shape_kind)
     manifest_path = args.manifest if shape_kind != "triangular" else None

@@ -260,18 +260,6 @@ class TestLearnScale:
         assert err.splitlines() == ["error: n_filters 1: need at least two bands"]
         assert loaded == [] and not (tmp_path / "out").exists()
 
-    def test_subsample_logged_and_honored(self, capsys, small_corpus, tmp_path, caplog):
-        import logging
-
-        with caplog.at_level(logging.INFO, logger="warpfilt.cli"):
-            rc, _, _ = run(
-                capsys, "learn-scale", "--manifest", small_corpus["manifest"],
-                "--out", tmp_path / "sub.json", "--scale", "speech",
-                "--subsample-fraction", "0.1",
-            )
-        assert rc == 0
-        assert any("subsampling 2 of 12" in r.message for r in caplog.records)
-
     def test_empty_manifest(self, capsys, tmp_path):
         empty = tmp_path / "empty.json"
         save_manifest(CorpusManifest([], 16000), empty)
@@ -1768,8 +1756,6 @@ class TestRunConfig:
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             RunConfig(scale="bark")
-        with pytest.raises(ValueError):
-            RunConfig(subsample_fraction=0.0)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -1918,10 +1904,20 @@ class TestRunConfig:
         ]
         assert out == "" and loaded == [] and not (tmp_path / "s.json").exists()
 
-    @pytest.mark.parametrize("scale", ["mel", "speech"])
-    def test_pitch_lag_range_checked_only_for_speech_pitch(self, capsys, small_corpus, tmp_path, scale):
+    @pytest.mark.parametrize(
+        "scale, text",
+        [
+            pytest.param("mel", '{"pitch_f_min_hz": 50, "pitch_f_max_hz": 55}', id="mel"),
+            pytest.param("speech", '{"pitch_f_min_hz": 50, "pitch_f_max_hz": 55}', id="speech"),
+            # A mel scale reads only frame_ms, a speech scale also hop_ms: neither spans the pitch period.
+            pytest.param("mel", '{"pitch_f_min_hz": 1e-320}', id="mel-pitch-period"),
+            pytest.param("speech", '{"pitch_f_min_hz": 1e-320}', id="speech-pitch-period"),
+            pytest.param("mel", '{"hop_ms": 1e-9}', id="mel-hop"),
+        ],
+    )
+    def test_pitch_lag_range_checked_only_for_speech_pitch(self, capsys, small_corpus, tmp_path, scale, text):
         path = tmp_path / "cfg.json"
-        path.write_text('{"pitch_f_min_hz": 50, "pitch_f_max_hz": 55}')
+        path.write_text(text)
         rc, out, err = run(
             capsys, "learn-scale", "--manifest", small_corpus["manifest"], "--scale", scale,
             "--out", tmp_path / "s.json", "--config", path,
@@ -2088,6 +2084,12 @@ class TestConfigValuesCapped:
                 "CFG: field 'voicing_threshold' must be float, got int {v} beyond the float range",
                 id="voicing_threshold-beyond-float",
             ),
+            # The manifest alone selects a corpus pass's utterances.
+            *[
+                pytest.param(command, "subsample_fraction", 0.5, "CFG: unknown config keys ['subsample_fraction']",
+                             id=f"subsample_fraction-{command}")
+                for command in ["learn-scale", "learn-filterbank"]
+            ],
         ],
     )
     def test_one_bounded_line(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command, field, value, message):
@@ -2328,8 +2330,7 @@ class TestMutatedInputs:
 
 # The RunConfig fields that have a flag: a command gets one for each of these that it reads.
 FLAGGED_FIELDS = {
-    "scale", "shape", "n_filters", "subsample_fraction", "ubm_components",
-    "em_iters", "relevance", "cost_preset", "seed", "jobs",
+    "scale", "shape", "n_filters", "ubm_components", "em_iters", "relevance", "cost_preset", "seed", "jobs",
 }
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
@@ -2342,16 +2343,27 @@ def subcommand_parsers():
 class TestReadsTable:
     """cli.READS names the fields each command reads; its flags and its documents' provenance follow it."""
 
-    @pytest.mark.parametrize("command", ["extract", "fratio"])
-    def test_unread_seed_is_usage_error(self, capsys, small_corpus, pipeline, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param(command, flag, id=command if flag == ("--seed", 1) else f"{command}{flag[0]}")
+            for flag in [("--seed", 1), ("--subsample-fraction", 0.5)]
+            for command in ["extract", "fratio", "learn-scale", "learn-filterbank"]
+        ],
+    )
+    def test_unread_seed_is_usage_error(self, capsys, small_corpus, pipeline, tmp_path, command, flag):
+        # The manifest selects the utterances of every corpus pass; only train-ubm draws at random.
         rest = {
-            "extract": ["--filterbank", pipeline / "fb.json", "--out", tmp_path / "feats"],
+            "extract": ["--filterbank", pipeline / "fb.json"],
             "fratio": ["--filterbanks", pipeline / "fb.json"],
+            "learn-scale": ["--scale", "speech"],
+            "learn-filterbank": ["--scale-doc", pipeline / "scale.json", "--shape", "pca"],
         }[command]
-        rc, out, err = run(capsys, command, "--manifest", small_corpus["manifest"], *rest, "--seed", 1)
+        out_path = tmp_path / "out"
+        rc, out, err = run(capsys, command, "--manifest", small_corpus["manifest"], *rest, "--out", out_path, *flag)
         assert rc == 1 and out == ""
-        assert err.startswith("usage error: unrecognized arguments: --seed 1")
-        assert not (tmp_path / "feats").exists()
+        assert err.startswith(f"usage error: unrecognized arguments: {flag[0]} {flag[1]}")
+        assert not out_path.exists()
 
     def test_config_flags_are_row_fields_with_a_flag(self):
         for command, p in subcommand_parsers().items():
@@ -2396,6 +2408,14 @@ class TestReadsTable:
     def test_benchmark_flags_accepted(self, argv):
         args = cli._build_parser().parse_args(argv)
         assert args.command == argv[0]
+
+    def test_readme_flags_are_parser_flags(self):
+        # A flag removed from the parser must leave the docs too, and a new one must be documented.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Command-line pipeline", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        parsed = {option for p in subcommand_parsers().values() for option in p._option_string_actions}
+        assert documented == {option for option in parsed if option.startswith("--")} - {"--help"}
 
     def test_readme_config_table_matches_reads(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
