@@ -3,12 +3,15 @@ GMM-UBM speaker verification."""
 
 import os
 
-# One BLAS thread per process unless the caller chose a count. Every matrix
-# product here is small, so a second OpenBLAS thread only spins after each one
-# (and at numpy import), burning CPU for no speed-up; --jobs is the parallelism.
-# This must run before numpy is first imported, which fixes the thread count.
+# One BLAS thread per process unless the caller chose a count: every matrix product
+# here is small, so a second OpenBLAS thread only spins after each one, burning CPU
+# for no speed-up (--jobs is the parallelism). OpenBLAS reads the count once, as numpy
+# loads, so it is set for that import only and a host's child processes inherit none.
 if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analysis import f_ratio, f_ratio_report
 from .backend import (

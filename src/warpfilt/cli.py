@@ -98,7 +98,7 @@ _FRONT_END = ("frame_ms", "hop_ms", "preemph")
 READS = {
     "learn-scale": ("scale", *_FRONT_END, "n_filters", "jobs", "pitch_f_min_hz", "pitch_f_max_hz", "voicing_threshold"),
     "learn-filterbank": ("shape", "n_filters", *_FRONT_END, "jobs"),
-    "extract": (*_FRONT_END, "n_ceps", "delta_window", "rasta_enabled", "cmvn_enabled", "jobs"),
+    "extract": (*_FRONT_END, "n_ceps", "rasta_enabled", "cmvn_enabled", "jobs"),
     "fratio": (*_FRONT_END, "jobs"),
     "train-ubm": ("ubm_components", "em_iters", "seed"),
     "enroll": ("relevance",),

@@ -23,7 +23,6 @@ class FeatureConfig:
     frame_ms: float = 20.0
     hop_ms: float = 10.0
     n_ceps: int = 19
-    delta_window: int = 2
     rasta_enabled: bool = True
     cmvn_enabled: bool = True
     preemph: float = 0.97
@@ -41,8 +40,6 @@ class FeatureConfig:
             raise ValueError(f"preemph must lie in [0, 1), got {_brief(self.preemph)}")
         if self.n_ceps < 1:
             raise ValueError(f"n_ceps must be >= 1, got {_brief(self.n_ceps)}")
-        if self.delta_window < 1:
-            raise ValueError("delta_window must be >= 1")
         if not -np.inf < self.voicing_threshold < np.inf:
             raise ValueError(f"voicing_threshold must be finite, got {_brief(self.voicing_threshold)}")
         if not 0.0 < self.pitch_f_min_hz < self.pitch_f_max_hz:

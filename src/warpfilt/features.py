@@ -20,6 +20,7 @@ from .sad import ENERGY_EPS, bi_gaussian_sad, frame_log_energy, voiced_mask
 # Classic RASTA band-pass: 0.1*(2 + z^-1 - z^-3 - 2 z^-4) / (1 - 0.98 z^-1).
 RASTA_NUM = 0.1 * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 RASTA_DEN = np.array([1.0, -0.98])
+DELTA_WINDOW = 2  # half-width, in frames, of the delta and double-delta regression
 
 
 @dataclass
@@ -28,7 +29,6 @@ class FeatureMatrix:
 
     vectors: np.ndarray
     mask: np.ndarray
-    utterance_id: str = ""
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -94,11 +94,10 @@ def rasta_filter(trajectories: np.ndarray) -> np.ndarray:
     return y
 
 
-def append_deltas(base: np.ndarray, w: int = 2) -> np.ndarray:
-    """Regression deltas and double-deltas appended column-wise: [base | d | dd]."""
+def append_deltas(base: np.ndarray) -> np.ndarray:
+    """Deltas and double-deltas over +-DELTA_WINDOW edge-repeated frames, appended: [base | d | dd]."""
     base = np.atleast_2d(np.asarray(base, dtype=np.float64))
-    if w < 1:
-        raise ValueError("delta window must be >= 1")
+    w = DELTA_WINDOW
 
     def delta(x):
         padded = np.pad(x, ((w, w), (0, 0)), mode="edge")
@@ -148,7 +147,7 @@ def extract_features(x: AudioSegment, fb: Filterbank, cfg: FeatureConfig) -> Fea
     coeffs = cepstra(filterbank_log_energies(spec, fb), cfg.n_ceps)
     if cfg.rasta_enabled:
         coeffs = rasta_filter(coeffs)
-    vectors = append_deltas(coeffs, cfg.delta_window)
+    vectors = append_deltas(coeffs)
     if cfg.cmvn_enabled:
         vectors = cmvn(vectors, mask)
-    return FeatureMatrix(vectors, mask, x.id)
+    return FeatureMatrix(vectors, mask)

@@ -341,7 +341,7 @@ def read_features(path: str | Path):
     with np.errstate(over="ignore"):
         if not np.isfinite(np.square(vectors)).all():
             raise ValueError(f"{path}: feature values must have finite squares")
-    return FeatureMatrix(vectors.copy(), mask, Path(path).stem)
+    return FeatureMatrix(vectors.copy(), mask)
 
 
 # --- Trials and scores -------------------------------------------------------

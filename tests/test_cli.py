@@ -1640,6 +1640,18 @@ class TestStartup:
     def test_one_blas_thread_by_default(self):
         assert self._thread_count() == 1
 
+    def test_import_leaves_blas_setting_unset(self):
+        # The package sets a BLAS thread count for its own numpy only: a child process it starts inherits none.
+        script = (
+            "import os, subprocess, sys, warpfilt; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+            "print(subprocess.run([sys.executable, '-c', \"import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))\"], "
+            "capture_output=True, text=True).stdout.strip())"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in self.BLAS_THREAD_VARS}
+        proc = python_child("-c", script, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["None", "None"]
+
     def test_caller_blas_thread_count_wins(self):
         if (os.cpu_count() or 1) < 2:
             pytest.skip("needs at least 2 CPUs for a second BLAS thread")
@@ -2090,6 +2102,8 @@ class TestConfigValuesCapped:
                              id=f"subsample_fraction-{command}")
                 for command in ["learn-scale", "learn-filterbank"]
             ],
+            # The regression window of the deltas is fixed, not a setting.
+            pytest.param("extract", "delta_window", 2, "CFG: unknown config keys ['delta_window']", id="delta_window"),
         ],
     )
     def test_one_bounded_line(self, capsys, monkeypatch, small_corpus, pipeline, tmp_path, command, field, value, message):

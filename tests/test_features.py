@@ -176,17 +176,31 @@ class TestRastaFilter:
 
 class TestAppendDeltas:
     def test_constant_base(self):
-        out = append_deltas(np.full((10, 3), 1.5), 2)
+        out = append_deltas(np.full((10, 3), 1.5))
         assert np.array_equal(out[:, 3:], np.zeros((10, 6)))
 
     def test_linear_ramp_interior(self):
         base = np.arange(20.0)[:, None]
-        out = append_deltas(base, 2)
+        out = append_deltas(base)
         assert np.allclose(out[4:-4, 1], 1.0, atol=1e-12)
 
     def test_width_triples(self):
-        out = append_deltas(np.zeros((5, 7)), 2)
+        out = append_deltas(np.zeros((5, 7)))
         assert out.shape == (5, 21)
+
+    def test_every_frame_of_a_short_input(self):
+        # d[k] = (x[k+1] - x[k-1] + 2 (x[k+2] - x[k-2])) / 10 with x[j] the nearest frame for j
+        # outside 0..n-1, so the first and last two frames regress over repeated edge frames.
+        base = np.array([[0.0, 1.0], [1.0, -2.0], [4.0, 0.5], [9.0, 3.0], [16.0, -1.0], [25.0, 2.0]])
+
+        def delta(x):
+            n = len(x)
+            at = lambda j: x[min(max(j, 0), n - 1)]
+            return np.array([(at(k + 1) - at(k - 1) + 2.0 * (at(k + 2) - at(k - 2))) / 10.0 for k in range(n)])
+
+        d = delta(base)
+        assert np.array_equal(d[:, 0], [0.9, 2.2, 4.0, 6.0, 5.8, 4.1])
+        assert np.array_equal(append_deltas(base), np.hstack([base, d, delta(d)]))
 
 
 class TestCmvn:
@@ -285,8 +299,8 @@ class TestExtractFeatures:
         # Only the log-energy stage depends on the filterbank shape.
         rng = np.random.default_rng(5)
         log_e = rng.normal(size=(50, 20))
-        first = append_deltas(rasta_filter(cepstra(log_e, 19)), 2)
-        second = append_deltas(rasta_filter(cepstra(log_e, 19)), 2)
+        first = append_deltas(rasta_filter(cepstra(log_e, 19)))
+        second = append_deltas(rasta_filter(cepstra(log_e, 19)))
         assert np.array_equal(first, second)
 
 

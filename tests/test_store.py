@@ -334,7 +334,7 @@ class TestModelDocuments:
 class TestFeatureFiles:
     def make(self, n=37, d=57):
         rng = np.random.default_rng(2)
-        return FeatureMatrix(rng.normal(size=(n, d)), rng.uniform(size=n) > 0.4, "utt1")
+        return FeatureMatrix(rng.normal(size=(n, d)), rng.uniform(size=n) > 0.4)
 
     def test_round_trip_bit_identical(self, tmp_path):
         fm = self.make()
@@ -343,10 +343,9 @@ class TestFeatureFiles:
         back = read_features(path)
         assert np.array_equal(back.vectors, fm.vectors)
         assert np.array_equal(back.mask, fm.mask)
-        assert back.utterance_id == "utt1"
 
     def test_empty_matrix(self, tmp_path):
-        fm = FeatureMatrix(np.zeros((0, 57)), np.zeros(0, dtype=bool), "empty")
+        fm = FeatureMatrix(np.zeros((0, 57)), np.zeros(0, dtype=bool))
         path = tmp_path / "empty.wflt"
         write_features(fm, path)
         back = read_features(path)
