@@ -7,14 +7,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from synth import build_corpus
 
+# The small corpus's build_corpus arguments; tests/test_golden.py rebuilds it from these.
+SMALL_CORPUS = dict(n_speakers=3, n_utterances=4, duration_s=1.0, n_enroll=2, seed=11)
+
 
 @pytest.fixture(scope="session")
 def small_corpus(tmp_path_factory):
     """3 speakers x 4 utterances; enough for fast CLI round trips."""
     root = tmp_path_factory.mktemp("small_corpus")
-    full, enroll, trials = build_corpus(
-        root, n_speakers=3, n_utterances=4, duration_s=1.0, n_enroll=2, seed=11
-    )
+    full, enroll, trials = build_corpus(root, **SMALL_CORPUS)
     return {"root": root, "manifest": full, "enroll": enroll, "trials": trials}
 
 

@@ -371,6 +371,20 @@ class TestExtract:
             assert fm.n_frames == int(n_frames)
             assert float(pct) == pytest.approx(100.0 * fm.mask.mean(), abs=0.05)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outputs_named_by_manifest_id_not_file_stem(self, capsys, small_corpus, pipeline, tmp_path, jobs):
+        wavs = [e.path for e in load_manifest(small_corpus["manifest"]).entries[:3]]
+        ids = ["zeta", "alpha", "mid"]
+        save_manifest(CorpusManifest([ManifestEntry(i, w) for i, w in zip(ids, wavs)], 16000), tmp_path / "m.json")
+        out_dir = tmp_path / "feats"
+        rc, out, _ = run(
+            capsys, "extract", "--manifest", tmp_path / "m.json",
+            "--filterbank", pipeline / "fb.json", "--out", out_dir, "--jobs", jobs,
+        )
+        assert rc == 0
+        assert [line.split("\t")[0] for line in out.strip().splitlines()] == ids
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{i}.wflt" for i in ids)
+
     def test_refuses_overwrite(self, capsys, small_corpus, pipeline, tmp_path):
         out_dir = tmp_path / "feats"
         assert run(capsys, "extract", "--manifest", small_corpus["manifest"], "--filterbank", pipeline / "fb.json", "--out", out_dir)[0] == 0
