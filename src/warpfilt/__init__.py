@@ -30,7 +30,6 @@ from .backend import (
 )
 from .dsp import (
     AudioSegment,
-    PowerSpectrogram,
     dct_ii_ortho,
     frame_signal,
     hamming_window,

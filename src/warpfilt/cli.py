@@ -237,14 +237,13 @@ def _refuse_existing(paths, overwrite: bool):
 
 
 def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: bool = False):
-    """_map_ordered of fn(segment) over manifest entries, named by utterance id; each WAV must have the manifest's rate."""
+    """_map_ordered of fn(entry, segment) over manifest entries, named by utterance id; each WAV must have the manifest's rate."""
 
     def one(entry):
         seg = store.load_wav(entry.path)
         if seg.sample_rate_hz != sample_rate_hz:
             raise ValueError(f"sample rate {seg.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
-        seg.id = entry.utterance_id
-        return fn(seg)
+        return fn(entry, seg)
 
     return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}", keep_going)
 
@@ -329,8 +328,8 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
                     f"samples: lag_min {lag_min} > lag_max {lag_max}"
                 )
 
-        def ltas(seg):
-            return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"))
+        def ltas(_, seg):
+            return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"), sr / n_fft)
 
         avg = scale.average_ltas(_utterance_pass(manifest.entries, sr, cfg.jobs, ltas))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
@@ -359,9 +358,9 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
     else:
         _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg, "learn-filterbank")
 
-        def speech_log_spectra(seg):
+        def speech_log_spectra(_, seg):
             spec, mask = utterance_spectra(seg, cfg, n_fft)
-            return np.log(spec.frames[mask] + sad.ENERGY_EPS)
+            return np.log(spec[mask] + sad.ENERGY_EPS)
 
         # Yielded in manifest order, so the filterbank does not depend on --jobs.
         log_spectra = _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
@@ -386,10 +385,10 @@ def cmd_extract(args, cfg: RunConfig) -> int:
         raise ValueError(f"{args.filterbank}: n_ceps {_brief(cfg.n_ceps)} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def write(seg):
+    def write(entry, seg):
         fm = extract_features(seg, fb, cfg)
-        store.write_features(fm, targets[seg.id])
-        return f"{seg.id}\t{fm.n_frames}\t{float(fm.mask.mean()) * 100.0:.1f}"
+        store.write_features(fm, targets[entry.utterance_id])
+        return f"{entry.utterance_id}\t{fm.n_frames}\t{float(fm.mask.mean()) * 100.0:.1f}"
 
     failed = 0
     with _directory_lock(outdir):
@@ -422,7 +421,7 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
             raise ValueError(f"{path}: n_filters {fb.n_filters} differs from n_filters {fbs[0].n_filters} of {first}")
 
     # One front-end pass per utterance, shared by every filterbank.
-    def speech_log_energies(seg):
+    def speech_log_energies(_, seg):
         spec, mask = utterance_spectra(seg, cfg, n_fft)
         return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
 

@@ -47,10 +47,6 @@ class FeatureConfig:
                 f"pitch_f_min_hz must lie in (0, pitch_f_max_hz {_brief(self.pitch_f_max_hz)}), got {_brief(self.pitch_f_min_hz)}"
             )
 
-    @property
-    def dim(self) -> int:
-        return 3 * self.n_ceps
-
 
 @dataclass
 class AudioSegment:
@@ -58,7 +54,6 @@ class AudioSegment:
 
     samples: np.ndarray
     sample_rate_hz: int
-    id: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -71,32 +66,6 @@ class AudioSegment:
         return self.samples.shape[0]
 
 
-@dataclass
-class PowerSpectrogram:
-    """Per-frame short-time power spectra, bins 0..n_fft/2."""
-
-    frames: np.ndarray  # n_frames x K
-    n_fft: int
-    sample_rate_hz: int
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[1] != self.n_fft // 2 + 1:
-            raise ValueError("spectrogram shape must be n_frames x (n_fft/2 + 1)")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[1]
-
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate_hz / self.n_fft
-
-
 def pre_emphasize(x: AudioSegment, alpha: float = 0.97) -> AudioSegment:
     """First-order pre-emphasis y[n] = x[n] - alpha*x[n-1], y[0] = x[0]."""
     if len(x) == 0:
@@ -105,7 +74,7 @@ def pre_emphasize(x: AudioSegment, alpha: float = 0.97) -> AudioSegment:
         raise ValueError("alpha must be in [0, 1)")
     s = x.samples
     y = np.concatenate(([s[0]], s[1:] - alpha * s[:-1]))
-    return AudioSegment(y, x.sample_rate_hz, x.id)
+    return AudioSegment(y, x.sample_rate_hz)
 
 
 def ms_to_samples(ms: float, sample_rate_hz: int) -> int:
@@ -139,10 +108,8 @@ def hamming_window(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * m / (n - 1))
 
 
-def power_spectrum(
-    frames: np.ndarray, n_fft: int, window: np.ndarray, sample_rate_hz: int
-) -> PowerSpectrogram:
-    """|FFT(window * frame)|^2 over bins 0..n_fft/2, frames zero-padded to n_fft."""
+def power_spectrum(frames: np.ndarray, n_fft: int, window: np.ndarray) -> np.ndarray:
+    """|FFT(window * frame)|^2 over bins 0..n_fft/2, frames zero-padded to n_fft: an n_frames x (n_fft/2 + 1) array."""
     frames = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     frame_len = frames.shape[1]
     if n_fft < frame_len:
@@ -152,8 +119,7 @@ def power_spectrum(
     window = np.asarray(window, dtype=np.float64)
     if window.shape != (frame_len,):
         raise ValueError("window length must equal frame length")
-    spec = np.abs(np.fft.rfft(frames * window, n_fft)) ** 2
-    return PowerSpectrogram(spec, n_fft, sample_rate_hz)
+    return np.abs(np.fft.rfft(frames * window, n_fft)) ** 2
 
 
 def next_pow2(n: int) -> int:

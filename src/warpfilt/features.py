@@ -7,7 +7,6 @@ import numpy as np
 from .dsp import (  # FeatureConfig is re-exported: warpfilt.features.FeatureConfig
     AudioSegment,
     FeatureConfig,
-    PowerSpectrogram,
     dct_ii_ortho,
     frame_signal,
     hamming_window,
@@ -53,15 +52,15 @@ class FeatureMatrix:
         return self.vectors[self.mask]
 
 
-def filterbank_log_energies(spec: PowerSpectrogram, fb: Filterbank) -> np.ndarray:
-    """log(power . response + eps) per frame and filter.
+def filterbank_log_energies(spec: np.ndarray, fb: Filterbank) -> np.ndarray:
+    """log(power . response + eps) per frame (a row of spec) and filter.
 
     PCA-learned responses may carry small negative components, so the energy
     sum is clamped at zero before the log to keep the pipeline total.
     """
-    if spec.n_bins != fb.n_bins:
+    if spec.shape[-1] != fb.n_bins:
         raise ValueError("spectrogram and filterbank disagree on bin count")
-    return np.log(np.maximum(spec.frames @ fb.responses.T, 0.0) + ENERGY_EPS)
+    return np.log(np.maximum(spec @ fb.responses.T, 0.0) + ENERGY_EPS)
 
 
 def cepstra(log_energies: np.ndarray, n_ceps: int) -> np.ndarray:
@@ -125,7 +124,7 @@ def cmvn(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def utterance_spectra(
     x: AudioSegment, cfg: FeatureConfig, n_fft: int, voicing: bool = False
-) -> tuple[PowerSpectrogram, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The front end of one utterance: its power spectra and the mask of frames to use.
 
     Pre-emphasis, framing, a Hamming window and n_fft-point power spectra. The mask
@@ -133,7 +132,7 @@ def utterance_spectra(
     """
     emphasized = pre_emphasize(x, cfg.preemph)
     frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
-    spec = power_spectrum(frames, n_fft, hamming_window(frames.shape[1]), x.sample_rate_hz)
+    spec = power_spectrum(frames, n_fft, hamming_window(frames.shape[1]))
     if not voicing:
         return spec, bi_gaussian_sad(frame_log_energy(frames))
     return spec, voiced_mask(frames, x.sample_rate_hz, cfg)

@@ -42,10 +42,6 @@ class FilterbankLayout:
     def n_bins(self) -> int:
         return self.n_fft // 2 + 1
 
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate_hz / self.n_fft
-
     def subband(self, j: int) -> tuple[int, int]:
         """Inclusive bin range of filter j (1-based)."""
         return int(self.boundary_bins[j - 1]), int(self.boundary_bins[j + 1])

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import PowerSpectrogram, _brief
+from .dsp import _brief
 
 AREA_SHIFT = 1e-6
 MEL_KNOTS = 512
@@ -68,14 +68,14 @@ class WarpingScale:
         return np.interp(warped, self.knots_warped, self.knots_hz)
 
 
-def compute_ltas(spec: PowerSpectrogram, mask: np.ndarray) -> Ltas:
-    """Mean power per bin over the frames selected by the mask."""
+def compute_ltas(spec: np.ndarray, mask: np.ndarray, bin_hz: float) -> Ltas:
+    """Mean power per bin over the frames (rows of spec) selected by the mask; bin_hz is the bin spacing."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (spec.n_frames,):
+    if mask.shape != (spec.shape[0],):
         raise ValueError("mask length must equal the frame count")
     if not mask.any():
         raise ValueError("no frames selected")
-    return Ltas(spec.frames[mask].mean(axis=0), spec.bin_hz)
+    return Ltas(spec[mask].mean(axis=0), bin_hz)
 
 
 def average_ltas(ltas_list) -> Ltas:

@@ -123,7 +123,7 @@ def load_wav(path: str | Path) -> AudioSegment:
         samples /= 32768.0
     elif not np.isfinite(samples).all():
         raise ValueError(f"{path}: non-finite sample at index {np.flatnonzero(~np.isfinite(samples))[0]}")
-    return AudioSegment(samples, sample_rate, Path(path).stem)
+    return AudioSegment(samples, sample_rate)
 
 
 def write_wav(path: str | Path, segment: AudioSegment, fmt: str = "pcm16"):

@@ -108,7 +108,7 @@ def build_corpus(
         for u in range(n_utterances):
             utt = f"{speaker}_u{u:02d}"
             samples = synth_utterance(s, u, sample_rate_hz, duration_s, seed)
-            write_wav(wav_dir / f"{utt}.wav", AudioSegment(samples, sample_rate_hz, utt))
+            write_wav(wav_dir / f"{utt}.wav", AudioSegment(samples, sample_rate_hz))
             entry = ManifestEntry(utt, wav_dir / f"{utt}.wav", speaker)
             entries.append(entry)
             if u < n_enroll:

@@ -186,11 +186,11 @@ def test_criterion_06_feature_pipeline(small_corpus, tmp_path):
     scale = mel_warping_scale(sr / 2.0)
     fb = triangular_responses(place_filter_edges(scale, 20, 512, sr))
     cfg = FeatureConfig()
-    fm = extract_features(AudioSegment(samples, sr, "v"), fb, cfg)
+    fm = extract_features(AudioSegment(samples, sr), fb, cfg)
     assert fm.dim == 57
     plain_cfg = FeatureConfig(rasta_enabled=False, cmvn_enabled=False)
-    base = extract_features(AudioSegment(samples, sr, "v"), fb, plain_cfg)
-    loud = extract_features(AudioSegment(2.0 * samples, sr, "v"), fb, plain_cfg)
+    base = extract_features(AudioSegment(samples, sr), fb, plain_cfg)
+    loud = extract_features(AudioSegment(2.0 * samples, sr), fb, plain_cfg)
     gain_err = np.abs(loud.vectors[:, :19] - base.vectors[:, :19]).max()
     assert gain_err <= 1e-6
 

@@ -1263,7 +1263,7 @@ def tone_tail_utterance(root):
     samples = 1e-3 * np.random.default_rng(0).standard_normal(1920)
     samples[-158:] += 0.5 * np.sin(2.0 * np.pi * 440.0 * np.arange(158) / 16000)
     path = Path(root) / "tail.wav"
-    write_wav(path, AudioSegment(samples, 16000, "tail"))
+    write_wav(path, AudioSegment(samples, 16000))
     return ManifestEntry("tail", path, "spkB")
 
 
@@ -1568,7 +1568,7 @@ def one_bad_utterance(root, small_corpus, name, data, utterance_id=None):
 
 def float_wav_bytes(samples, tmp_path):
     path = tmp_path / "float.wav"
-    write_wav(path, AudioSegment(samples, 16000, "f"), fmt="float32")
+    write_wav(path, AudioSegment(samples, 16000), fmt="float32")
     return path.read_bytes()
 
 
@@ -1762,7 +1762,6 @@ class TestRunConfig:
     def test_defaults_match_paper_recipe(self):
         cfg = RunConfig()
         assert (cfg.frame_ms, cfg.hop_ms, cfg.n_filters, cfg.n_ceps) == (20.0, 10.0, 20, 19)
-        assert cfg.dim == 57
         assert cfg.relevance == 14.0
         assert cfg.em_iters == 10
 

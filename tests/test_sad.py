@@ -291,7 +291,7 @@ class TestFitTwoGaussiansReference:
             for utt in range(0, 20, 5):
                 samples = synth_utterance(speaker, utt, 16000, 2.0, seed)
                 samples = np.rint(np.clip(samples, -1.0, 32767.0 / 32768.0) * 32768.0) / 32768.0
-                seg = pre_emphasize(AudioSegment(samples, 16000, "u"), cfg.preemph)
+                seg = pre_emphasize(AudioSegment(samples, 16000), cfg.preemph)
                 assert_fit_matches_reference(frame_log_energy(frame_signal(seg, cfg.frame_ms, cfg.hop_ms)))
 
 

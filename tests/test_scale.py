@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import warpfilt
 
-from warpfilt.dsp import PowerSpectrogram, hamming_window, power_spectrum
+from warpfilt.dsp import hamming_window, power_spectrum
 from warpfilt.features import FeatureConfig, utterance_spectra
 from warpfilt.filterbank import place_filter_edges
 from warpfilt.sad import bi_gaussian_sad, frame_log_energy, voiced_mask
@@ -32,11 +32,6 @@ from warpfilt.scale import (
 from warpfilt.store import load_manifest, load_wav
 
 
-def spec_of(frames, n_fft=8, sr=16000):
-    frames = np.asarray(frames, dtype=float)
-    return PowerSpectrogram(frames, n_fft, sr)
-
-
 def shifted_log(values):
     log_v = np.log(np.maximum(values, np.finfo(float).tiny))
     return log_v - log_v.min() + AREA_SHIFT
@@ -44,27 +39,27 @@ def shifted_log(values):
 
 class TestComputeLtas:
     def test_mean_of_two_frames(self):
-        spec = PowerSpectrogram(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]), 4, 16000)
-        ltas = compute_ltas(spec, np.array([True, True]))
+        spec = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+        ltas = compute_ltas(spec, np.array([True, True]), 4000.0)
         assert np.array_equal(ltas.values, [2.0, 2.0, 2.0])
+        assert ltas.bin_hz == 4000.0
 
     def test_single_frame_identity(self):
-        spec = PowerSpectrogram(np.array([[5.0, 1.0, 0.5]]), 4, 16000)
-        ltas = compute_ltas(spec, np.array([True]))
-        assert np.array_equal(ltas.values, spec.frames[0])
+        spec = np.array([[5.0, 1.0, 0.5]])
+        ltas = compute_ltas(spec, np.array([True]), 4000.0)
+        assert np.array_equal(ltas.values, spec[0])
 
     def test_mask_selects_frame_zero(self):
         rng = np.random.default_rng(0)
-        spec = PowerSpectrogram(rng.uniform(size=(6, 3)), 4, 16000)
+        spec = rng.uniform(size=(6, 3))
         mask = np.zeros(6, dtype=bool)
         mask[0] = True
-        ltas = compute_ltas(spec, mask)
-        assert np.array_equal(ltas.values, spec.frames[0])
+        ltas = compute_ltas(spec, mask, 4000.0)
+        assert np.array_equal(ltas.values, spec[0])
 
     def test_empty_selection(self):
-        spec = PowerSpectrogram(np.ones((3, 3)), 4, 16000)
         with pytest.raises(ValueError, match="no frames selected"):
-            compute_ltas(spec, np.zeros(3, dtype=bool))
+            compute_ltas(np.ones((3, 3)), np.zeros(3, dtype=bool), 4000.0)
 
 
 class TestAverageLtas:
@@ -325,7 +320,7 @@ def corpus_ltas(small_corpus):
     """The average LTAS of the 3-speaker test corpus under the speech and speech-pitch frame selections."""
     segments = [load_wav(entry.path) for entry in load_manifest(small_corpus["manifest"]).entries]
     return {
-        kind: average_ltas([compute_ltas(*utterance_spectra(seg, FeatureConfig(), 512, voicing)) for seg in segments])
+        kind: average_ltas([compute_ltas(*utterance_spectra(seg, FeatureConfig(), 512, voicing), seg.sample_rate_hz / 512) for seg in segments])
         for kind, voicing in (("speech-based", False), ("speech-based-pitch", True))
     }
 
@@ -415,15 +410,15 @@ def test_pitch_selection_changes_scale():
     noise = 1.25 * rng.uniform(-1.0, 1.0, size=(30, frame_len))  # energy close to the tone's
     quiet = 1e-4 * rng.uniform(-1.0, 1.0, size=(30, frame_len))
     frames = np.vstack([tone, noise, quiet])
-    spec = power_spectrum(frames, 512, hamming_window(frame_len), sr)
+    spec = power_spectrum(frames, 512, hamming_window(frame_len))
     sad_mask = bi_gaussian_sad(frame_log_energy(frames))
     pitch_mask = voiced_mask(frames, sr)
     assert pitch_mask.sum() < sad_mask.sum()
     q = 8
     all_scale = build_warping_scale(
-        equal_area_partition(compute_ltas(spec, sad_mask), q), spec.bin_hz, sr / 2.0
+        equal_area_partition(compute_ltas(spec, sad_mask, sr / 512), q), sr / 512, sr / 2.0
     )
     pitch_scale = build_warping_scale(
-        equal_area_partition(compute_ltas(spec, pitch_mask), q), spec.bin_hz, sr / 2.0, "speech-based-pitch"
+        equal_area_partition(compute_ltas(spec, pitch_mask, sr / 512), q), sr / 512, sr / 2.0, "speech-based-pitch"
     )
     assert not np.array_equal(all_scale.knots_hz, pitch_scale.knots_hz)

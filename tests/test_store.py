@@ -84,7 +84,7 @@ class TestWav:
 
     def test_float32_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        seg = AudioSegment(rng.uniform(-1, 1, 500), 8000, "x")
+        seg = AudioSegment(rng.uniform(-1, 1, 500), 8000)
         path = tmp_path / "f.wav"
         write_wav(path, seg, fmt="float32")
         back = load_wav(path)
@@ -92,7 +92,7 @@ class TestWav:
         assert np.abs(back.samples - seg.samples).max() <= 1e-7
 
     def test_pcm16_round_trip_quantized(self, tmp_path):
-        seg = AudioSegment(np.linspace(-0.9, 0.9, 100), 16000, "x")
+        seg = AudioSegment(np.linspace(-0.9, 0.9, 100), 16000)
         path = tmp_path / "q.wav"
         write_wav(path, seg)
         back = load_wav(path)
@@ -499,7 +499,7 @@ class TestTrialsAndScores:
 class TestManifest:
     def test_round_trip(self, tmp_path):
         wav = tmp_path / "u1.wav"
-        write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000, "u1"))
+        write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000))
         manifest = CorpusManifest([ManifestEntry("u1", wav, "spk0")], 16000)
         path = tmp_path / "m.json"
         save_manifest(manifest, path)
@@ -511,7 +511,7 @@ class TestManifest:
 
     def test_duplicate_id(self, tmp_path):
         wav = tmp_path / "u1.wav"
-        write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000, "u1"))
+        write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000))
         manifest = CorpusManifest(
             [ManifestEntry("u1", wav), ManifestEntry("u1", wav)], 16000
         )
@@ -546,7 +546,7 @@ class TestManifest:
         """A one-entry manifest over an existing WAV with `field` set to `value`; "entry" is the whole entry."""
         wav = tmp_path / "u.wav"
         if not wav.exists():
-            write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000, "u"))
+            write_wav(wav, AudioSegment(np.zeros(10) + 0.1, 16000))
         obj = {"sample_rate_hz": 16000, "entries": [{"utterance_id": "u", "path": "u.wav", "speaker_id": "s"}]}
         if field in obj:
             obj[field] = value
@@ -633,7 +633,7 @@ class TestManifest:
         monkeypatch.chdir(tmp_path)
         root = Path("corpus")
         (root / "wav").mkdir(parents=True)
-        write_wav(root / "wav" / "u1.wav", AudioSegment(np.zeros(10) + 0.1, 16000, "u1"))
+        write_wav(root / "wav" / "u1.wav", AudioSegment(np.zeros(10) + 0.1, 16000))
         manifest = CorpusManifest([ManifestEntry("u1", root / "wav" / "u1.wav")], 16000)
         save_manifest(manifest, root / "m.json")
         back = load_manifest(root / "m.json")
