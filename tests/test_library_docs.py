@@ -7,7 +7,6 @@ arguments must pass every required parameter and no more than the function takes
 
 import ast
 import builtins
-import dataclasses
 import importlib
 import inspect
 import pkgutil
