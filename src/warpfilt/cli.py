@@ -329,7 +329,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
                 )
 
         def ltas(_, seg):
-            return scale.compute_ltas(*utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"), sr / n_fft)
+            return scale.compute_ltas(utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"), sr / n_fft)
 
         avg = scale.average_ltas(_utterance_pass(manifest.entries, sr, cfg.jobs, ltas))
         partition = scale.equal_area_partition(avg, cfg.n_filters)
@@ -359,8 +359,7 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
         _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg, "learn-filterbank")
 
         def speech_log_spectra(_, seg):
-            spec, mask = utterance_spectra(seg, cfg, n_fft)
-            return np.log(spec[mask] + sad.ENERGY_EPS)
+            return np.log(utterance_spectra(seg, cfg, n_fft) + sad.ENERGY_EPS)
 
         # Yielded in manifest order, so the filterbank does not depend on --jobs.
         log_spectra = _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, speech_log_spectra)
@@ -422,8 +421,8 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
 
     # One front-end pass per utterance, shared by every filterbank.
     def speech_log_energies(_, seg):
-        spec, mask = utterance_spectra(seg, cfg, n_fft)
-        return [filterbank_log_energies(spec, fb)[mask] for fb in fbs]
+        spec = utterance_spectra(seg, cfg, n_fft)
+        return [filterbank_log_energies(spec, fb) for fb in fbs]
 
     # One pass in manifest order, so a failure is named as every other command names it. Each
     # filterbank's rows go to its speaker's list, which is stacked once, and dropped, below.

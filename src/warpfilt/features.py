@@ -122,27 +122,27 @@ def cmvn(features: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return (features - mean) / std
 
 
-def utterance_spectra(
-    x: AudioSegment, cfg: FeatureConfig, n_fft: int, voicing: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The front end of one utterance: its power spectra and the mask of frames to use.
-
-    Pre-emphasis, framing, a Hamming window and n_fft-point power spectra. The mask
-    is the bi-Gaussian SAD, ANDed with voicing in cfg's pitch band when voicing is set.
-    """
-    emphasized = pre_emphasize(x, cfg.preemph)
-    frames = frame_signal(emphasized, cfg.frame_ms, cfg.hop_ms)
-    spec = power_spectrum(frames, n_fft, hamming_window(frames.shape[1]))
+def _select_frames(x: AudioSegment, cfg: FeatureConfig, voicing: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-emphasised frames of one utterance and their mask: the bi-Gaussian SAD, ANDed with voicing if set."""
+    frames = frame_signal(pre_emphasize(x, cfg.preemph), cfg.frame_ms, cfg.hop_ms)
     if not voicing:
-        return spec, bi_gaussian_sad(frame_log_energy(frames))
-    return spec, voiced_mask(frames, x.sample_rate_hz, cfg)
+        return frames, bi_gaussian_sad(frame_log_energy(frames))
+    return frames, voiced_mask(frames, x.sample_rate_hz, cfg)
+
+
+def utterance_spectra(x: AudioSegment, cfg: FeatureConfig, n_fft: int, voicing: bool = False) -> np.ndarray:
+    """Hamming-windowed n_fft-point power spectra of the frames _select_frames keeps; zero rows if it keeps none."""
+    frames, mask = _select_frames(x, cfg, voicing)
+    return power_spectrum(frames[mask], n_fft, hamming_window(frames.shape[1]))
 
 
 def extract_features(x: AudioSegment, fb: Filterbank, cfg: FeatureConfig) -> FeatureMatrix:
     """Full per-utterance pipeline from waveform to masked, normalized features."""
     if x.sample_rate_hz != fb.layout.sample_rate_hz:
         raise ValueError("sample rate of utterance and filterbank must match")
-    spec, mask = utterance_spectra(x, cfg, fb.layout.n_fft)
+    # Every frame, not only the selected ones: RASTA and the deltas run over the whole trajectory.
+    frames, mask = _select_frames(x, cfg)
+    spec = power_spectrum(frames, fb.layout.n_fft, hamming_window(frames.shape[1]))
     coeffs = cepstra(filterbank_log_energies(spec, fb), cfg.n_ceps)
     if cfg.rasta_enabled:
         coeffs = rasta_filter(coeffs)

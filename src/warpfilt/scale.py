@@ -68,14 +68,11 @@ class WarpingScale:
         return np.interp(warped, self.knots_warped, self.knots_hz)
 
 
-def compute_ltas(spec: np.ndarray, mask: np.ndarray, bin_hz: float) -> Ltas:
-    """Mean power per bin over the frames (rows of spec) selected by the mask; bin_hz is the bin spacing."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (spec.shape[0],):
-        raise ValueError("mask length must equal the frame count")
-    if not mask.any():
+def compute_ltas(spec: np.ndarray, bin_hz: float) -> Ltas:
+    """Mean power per bin over the frames (rows of spec); bin_hz is the bin spacing."""
+    if spec.shape[0] == 0:
         raise ValueError("no frames selected")
-    return Ltas(spec[mask].mean(axis=0), bin_hz)
+    return Ltas(spec.mean(axis=0), bin_hz)
 
 
 def average_ltas(ltas_list) -> Ltas:

@@ -1267,6 +1267,19 @@ def tone_tail_utterance(root):
     return ManifestEntry("tail", path, "spkB")
 
 
+def noise_burst_utterance(root):
+    """Utterance `burst` of speaker spkB: 0.6 s of loud white noise between two 0.3 s stretches of 1e-4 noise.
+
+    The SAD keeps the burst, and no frame of it is voiced.
+    """
+    rng = np.random.default_rng(0)
+    quiet = 1e-4 * rng.standard_normal(4800)
+    samples = np.concatenate([quiet, 0.3 * rng.standard_normal(9600), quiet])
+    path = Path(root) / "burst.wav"
+    write_wav(path, AudioSegment(samples, 16000))
+    return ManifestEntry("burst", path, "spkB")
+
+
 class TestErrorLinesNameInput:
     """An input that holds too little for its command ends it with exit 2 and one line naming that input."""
 
@@ -1351,6 +1364,16 @@ class TestErrorLinesNameInput:
         assert (rc, out) == (2, "")
         assert err.splitlines() == [f"error: {manifest}: need >=2 frames"]
         assert not (tmp_path / "fb.json").exists()
+
+    def test_learn_scale_pitch_selects_no_frame(self, capsys, tmp_path):
+        manifest = tmp_path / "burst.json"
+        save_manifest(CorpusManifest([noise_burst_utterance(tmp_path)], 16000), manifest)
+        rc, out, err = run(
+            capsys, "learn-scale", "--scale", "speech-pitch", "--manifest", manifest, "--out", tmp_path / "scale.json"
+        )
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: utterance burst: no frames selected"]
+        assert not (tmp_path / "scale.json").exists()
 
     def test_fratio_speaker_with_too_few_frames(self, capsys, small_corpus, pipeline, tmp_path):
         manifest = tmp_path / "m.json"

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from synth import synth_utterance
 
-from warpfilt.dsp import AudioSegment
+from warpfilt.dsp import AudioSegment, frame_signal, hamming_window, power_spectrum, pre_emphasize
 from warpfilt.features import (
     RASTA_DEN,
     RASTA_NUM,
@@ -23,8 +23,10 @@ from warpfilt.features import (
     extract_features,
     filterbank_log_energies,
     rasta_filter,
+    utterance_spectra,
 )
 from warpfilt.filterbank import FilterbankLayout, triangular_responses, place_filter_edges
+from warpfilt.sad import bi_gaussian_sad, frame_log_energy, voiced_mask
 from warpfilt.scale import mel_warping_scale
 
 
@@ -299,6 +301,36 @@ class TestExtractFeatures:
         first = append_deltas(rasta_filter(cepstra(log_e, 19)))
         second = append_deltas(rasta_filter(cepstra(log_e, 19)))
         assert np.array_equal(first, second)
+
+
+class TestFrameSelection:
+    """utterance_spectra gives the spectra of the selected frames only; extract_features keeps every frame."""
+
+    @staticmethod
+    def framed():
+        """A voiced utterance between 0.3 s of 1e-4 noise on each side, its pre-emphasised frames, and its SAD mask."""
+        sr = 16000
+        quiet = 1e-4 * np.random.default_rng(1).standard_normal(int(0.3 * sr))
+        seg = AudioSegment(np.concatenate([quiet, synth_utterance(2, 0, sr, 1.5, voiced_fraction=1.0), quiet]), sr)
+        cfg = FeatureConfig()
+        frames = frame_signal(pre_emphasize(seg, cfg.preemph), cfg.frame_ms, cfg.hop_ms)
+        sad_mask = bi_gaussian_sad(frame_log_energy(frames))
+        assert 0 < sad_mask.sum() < sad_mask.size
+        return seg, cfg, frames, sad_mask
+
+    @pytest.mark.parametrize("voicing", [False, True])
+    def test_spectra_of_selected_frames(self, voicing):
+        seg, cfg, frames, mask = self.framed()
+        if voicing:
+            mask = voiced_mask(frames, seg.sample_rate_hz, cfg)
+        expected = power_spectrum(frames, 512, hamming_window(frames.shape[1]))[mask]
+        assert np.array_equal(utterance_spectra(seg, cfg, 512, voicing), expected)
+
+    def test_extract_features_keeps_every_frame(self):
+        seg, cfg, frames, mask = self.framed()
+        fm = extract_features(seg, full_fb(), cfg)
+        assert fm.n_frames == frames.shape[0]
+        assert np.array_equal(fm.mask, mask)
 
 
 def test_feature_matrix_rejects_nan():

@@ -129,8 +129,7 @@ def reference_triangles(layout):
 
 def learned_speech_scale():
     """A speech-based scale learned at 20 bands from the LTAS of one synthetic utterance."""
-    spec, mask = utterance_spectra(AudioSegment(synth_utterance(2, 0, 16000, 2.0), 16000), FeatureConfig(), 512)
-    ltas = compute_ltas(spec, mask, 16000 / 512)
+    ltas = compute_ltas(utterance_spectra(AudioSegment(synth_utterance(2, 0, 16000, 2.0), 16000), FeatureConfig(), 512), 16000 / 512)
     return build_warping_scale(equal_area_partition(ltas, 20), ltas.bin_hz, 8000.0)
 
 
