@@ -6,8 +6,6 @@ from functools import partial
 
 import numpy as np
 
-from .features import FeatureMatrix
-
 VARIANCE_FLOOR = 1e-4
 
 # (c_miss, c_fa, p_target) per evaluation plan.
@@ -194,24 +192,23 @@ def map_adapt_means(ubm: GmmModel, features: np.ndarray, relevance: float = 14.0
     return GmmModel(ubm.weights.copy(), means, ubm.variances.copy())
 
 
-def score_segment(enrolls: list[GmmModel], ubm: GmmModel, test: FeatureMatrix) -> list[float]:
-    """score_trial for several enrolled models on one test segment.
+def score_segment(enrolls: list[GmmModel], ubm: GmmModel, x: np.ndarray) -> list[float]:
+    """score_trial for several enrolled models on one test segment's N x D frames.
 
-    The UBM log-likelihoods of the segment's speech frames are computed once and
-    shared by every model.
+    The UBM log-likelihoods of the frames are computed once and shared by every model.
     """
     if any(enroll.dim != ubm.dim for enroll in enrolls):
         raise ValueError("model dimensions do not match")
-    x = test.speech_frames
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] < 1:
         raise ValueError("no speech frames to score")
     ubm_ll = log_likelihoods(ubm, x)
     return [float(np.mean(log_likelihoods(enroll, x) - ubm_ll)) for enroll in enrolls]
 
 
-def score_trial(enroll: GmmModel, ubm: GmmModel, test: FeatureMatrix) -> float:
-    """Per-frame-averaged log-likelihood ratio over the masked (speech) frames."""
-    return score_segment([enroll], ubm, test)[0]
+def score_trial(enroll: GmmModel, ubm: GmmModel, x: np.ndarray) -> float:
+    """Per-frame-averaged log-likelihood ratio over the N x D frames x."""
+    return score_segment([enroll], ubm, x)[0]
 
 
 @dataclass(frozen=True)

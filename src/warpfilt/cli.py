@@ -458,7 +458,10 @@ def _feature_files(features_dir: str, ids=(), what: str = "") -> dict:
 
 
 def _speech_frames(paths) -> np.ndarray:
-    """The speech frames of the feature files at paths, stacked; a ValueError names a file of another dimension."""
+    """The speech frames of the feature files at paths, stacked; a ValueError names a file of another dimension.
+
+    The one place where train-ubm, enroll and score read feature files and apply their masks.
+    """
     rows = []
     for path in paths:
         frames = store.read_features(path).speech_frames
@@ -537,7 +540,7 @@ def cmd_score(args, cfg: RunConfig) -> int:
 
     def one(test_id):
         models = [enroll_models[trials.trials[i].enroll_id] for i in by_test[test_id]]
-        return backend.score_segment(models, ubm, store.read_features(feature_files[test_id]))
+        return backend.score_segment(models, ubm, _speech_frames([feature_files[test_id]]))
 
     scores = {}
     for test_id, values in zip(by_test, _map_ordered(one, by_test, cfg.jobs, "test segment {}".format)):

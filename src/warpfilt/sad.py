@@ -76,14 +76,12 @@ def fit_two_gaussians(energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _crossing_threshold(w: np.ndarray, mu: np.ndarray, var: np.ndarray) -> float:
-    """Energy where the two weighted component densities cross between the means."""
+    """Energy where the two weighted component densities cross between the means, which bi_gaussian_sad has checked differ."""
     order = np.argsort(mu)
     (w_lo, w_hi) = w[order]
     (m_lo, m_hi) = mu[order]
     (v_lo, v_hi) = var[order]
     midpoint = 0.5 * (m_lo + m_hi)
-    if m_hi - m_lo < 1e-12:
-        return midpoint
     # w_lo*N(x; m_lo, v_lo) = w_hi*N(x; m_hi, v_hi) reduces to a*x^2 + b*x + c = 0.
     a = 0.5 / v_hi - 0.5 / v_lo
     b = m_lo / v_lo - m_hi / v_hi

@@ -13,6 +13,7 @@ import numpy as np
 
 from .backend import IMPOSTOR, TARGET, GmmModel, Trial, TrialScoreSet
 from .dsp import AudioSegment, _brief
+from .features import FeatureMatrix
 from .filterbank import Filterbank, FilterbankLayout
 from .scale import WarpingScale
 
@@ -319,10 +320,8 @@ def write_features(fm, path: str | Path):
     _atomic_write(path, header + mask_bytes + payload)
 
 
-def read_features(path: str | Path):
+def read_features(path: str | Path) -> FeatureMatrix:
     """Read a feature file written by write_features; rejects corrupt headers and dimension 0."""
-    from .features import FeatureMatrix
-
     raw = Path(path).read_bytes()
     if len(raw) < FEATURE_HEADER.size or not raw.startswith(FEATURE_MAGIC):
         raise ValueError(f"{path}: bad feature-file magic")
@@ -338,7 +337,8 @@ def read_features(path: str | Path):
     mask = np.unpackbits(mask_bits, bitorder="little")[:n_frames].astype(bool)
     vectors = np.frombuffer(raw[rows_at:], dtype="<f8").reshape(n_frames, dim)
     # The Gaussian backend squares every value, so a value whose square overflows is refused here, by file.
-    with np.errstate(over="ignore"):
+    # A signalling NaN, which a flipped byte can make, raises invalid when squared; it is refused the same way.
+    with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(np.square(vectors)).all():
             raise ValueError(f"{path}: feature values must have finite squares")
     return FeatureMatrix(vectors.copy(), mask)

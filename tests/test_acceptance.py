@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with the
 measured quantities. Run with -s (or -v) for the per-criterion lines."""
 
-import itertools
 import sys
 import time
 from pathlib import Path
@@ -12,6 +11,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from synth import synth_utterance
+from test_scale import brute_force_spread
 
 from warpfilt.analysis import f_ratio
 from warpfilt.backend import (
@@ -69,16 +69,6 @@ def test_criterion_01_mel_closed_form():
     ok(1, f"mel(1000)={value:.4f}, mel(0)=0, runtime {elapsed * 1e6:.1f} us")
 
 
-def brute_force_min_spread(areas, q):
-    cum = np.cumsum(areas)
-    best = np.inf
-    for combo in itertools.combinations(range(len(areas) - 1), q - 1):
-        edges = list(combo) + [len(areas) - 1]
-        sums = np.diff(cum[edges], prepend=0.0)
-        best = min(best, sums.max() - sums.min())
-    return best
-
-
 @pytest.mark.slow
 def test_criterion_02_equal_area_partition():
     rng = np.random.default_rng(2024)
@@ -98,7 +88,7 @@ def test_criterion_02_equal_area_partition():
         assert spread <= max_bin + 1e-9
         if comb(k - 1, q - 1) <= 3000:
             checked_brute += 1
-            assert spread <= brute_force_min_spread(areas_vec, q) + max_bin + 1e-9
+            assert spread <= brute_force_spread(areas_vec, q) + max_bin + 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     ok(2, f"1000 random spectra within the one-bin bound ({checked_brute} vs brute force) in {elapsed:.2f} s")
@@ -258,10 +248,8 @@ def test_criterion_08_gmm_ubm():
     midpoint = 0.5 * (ubm.means[0] + data.mean(axis=0))
     assert np.allclose(adapted.means[0], midpoint, rtol=0, atol=1e-12)
 
-    from warpfilt.features import FeatureMatrix
-
     model, _ = train_ubm(x, 2, iters=5, seed=0)
-    test = FeatureMatrix(rng.normal(size=(50, 3)), np.ones(50, dtype=bool))
+    test = rng.normal(size=(50, 3))
     assert score_trial(model, model, test) == 0.0
     ok(8, "EM monotone on 3 seeds; C=1 closed form; MAP midpoint exact; enroll=UBM scores 0")
 

@@ -1232,6 +1232,26 @@ class TestFeatureInputs:
         assert err.splitlines() == [f"error: {feats}: no features for test segment spk1_u03"]
         assert out == "" and not (tmp_path / "scores.tsv").exists()
 
+    def test_score_models_only_speech_frames(self, capsys, small_corpus, pipeline, tmp_path):
+        # Every non-speech row becomes 50.0; the headers and masks stay.
+        feats = tmp_path / "feats"
+        shutil.copytree(pipeline / "feats", feats)
+        overwritten = 0
+        for path in feats.glob("*.wflt"):
+            fm = read_features(path)
+            vectors = fm.vectors.copy()
+            vectors[~fm.mask] = 50.0
+            overwritten += int(np.count_nonzero(~fm.mask))
+            write_features(FeatureMatrix(vectors, fm.mask), path)
+        assert overwritten > 0
+        rc, _, _ = run(
+            capsys, "score", "--trials", small_corpus["trials"], "--models", pipeline / "models",
+            "--ubm", pipeline / "ubm.json", "--features", feats, "--out", tmp_path / "scores.tsv",
+        )
+        assert rc == 0
+        # The pipeline fixture scored the same trials on the original features.
+        assert (tmp_path / "scores.tsv").read_bytes() == (pipeline / "scores.tsv").read_bytes()
+
     def test_train_ubm_refuses_dimension_0_naming_file(self, capsys, tmp_path):
         # Valid headers of 700 frames and dimension 0: a mask and no values.
         feats = tmp_path / "feats"

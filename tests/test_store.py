@@ -373,6 +373,16 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: feature values must have finite squares$"):
             read_features(path)
 
+    def test_signalling_nan_named_without_warning(self, tmp_path):
+        # Squaring a signalling NaN raises invalid; RuntimeWarnings are errors under the test configuration.
+        path = tmp_path / "snan.wflt"
+        write_features(self.make(5, 3), path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = struct.pack("<Q", 0x7FF0000000000001)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: feature values must have finite squares$"):
+            read_features(path)
+
     def test_dimension_0_rejected_naming_file(self, tmp_path):
         path = tmp_path / "flat.wflt"
         write_features(FeatureMatrix(np.zeros((700, 0)), np.ones(700, dtype=bool)), path)
