@@ -181,22 +181,18 @@ def _named(source):
         raise ValueError(f"{source}: {err}") from err
 
 
-def _map_ordered(fn, items, jobs: int, name, keep_going: bool = False):
+def _map_ordered(fn, items, jobs: int, name):
     """Yield fn(item) in item order, on `jobs` threads: the one per-item runner.
 
-    A ValueError from fn(item) is prefixed with name(item) and raised as an _ItemError, or
-    with keep_going yielded in place of that item's result. At most 2 * jobs items run
-    ahead of the consumer.
+    A ValueError from fn(item) is prefixed with name(item) and raised as an _ItemError
+    when the consumer reaches that item. At most 2 * jobs items run ahead of the consumer.
     """
 
     def one(item):
         try:
             return fn(item)
         except ValueError as err:
-            failure = _ItemError(f"{name(item)}: {err}")
-            if keep_going:
-                return failure
-            raise failure from err
+            raise _ItemError(f"{name(item)}: {err}") from err
 
     if jobs <= 1:
         yield from map(one, items)
@@ -236,7 +232,7 @@ def _refuse_existing(paths, overwrite: bool):
             raise ValueError(f"{path} exists; pass --overwrite to replace it")
 
 
-def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: bool = False):
+def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn):
     """_map_ordered of fn(entry, segment) over manifest entries, named by utterance id; each WAV must have the manifest's rate."""
 
     def one(entry):
@@ -245,7 +241,7 @@ def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn, keep_going: boo
             raise ValueError(f"sample rate {seg.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
         return fn(entry, seg)
 
-    return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}", keep_going)
+    return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}")
 
 
 def _frame_length(cfg: RunConfig, sample_rate_hz: int, reads) -> int:
@@ -343,12 +339,12 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
 
 
 def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
+    shape_kind = filterbank.SHAPE_KINDS[cfg.shape]
+    if shape_kind != "triangular" and args.manifest is None:
+        raise UsageError("PCA filter shapes need --manifest for the corpus pass")
     out = Path(args.out)
     _refuse_existing([out], args.overwrite)
-    shape_kind = filterbank.SHAPE_KINDS[cfg.shape]
     if shape_kind != "triangular":
-        if args.manifest is None:
-            raise ValueError("PCA filter shapes need --manifest for the corpus pass")
         manifest = store.load_manifest(args.manifest)
     scale_doc, warping = store.load_document(args.scale_doc, "warping-scale")
     n_fft = scale_doc.n_fft
@@ -384,22 +380,14 @@ def cmd_extract(args, cfg: RunConfig) -> int:
         raise ValueError(f"{args.filterbank}: n_ceps {_brief(cfg.n_ceps)} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def write(entry, seg):
-        fm = extract_features(seg, fb, cfg)
-        store.write_features(fm, targets[entry.utterance_id])
-        return f"{entry.utterance_id}\t{fm.n_frames}\t{float(fm.mask.mean()) * 100.0:.1f}"
+    def features(_, seg):
+        return extract_features(seg, fb, cfg)
 
-    failed = 0
+    # Written here, not on the workers, so a failure leaves exactly the files whose lines were printed.
     with _directory_lock(outdir):
-        for result in _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, write, keep_going=True):
-            if isinstance(result, ValueError):
-                failed += 1
-                logger.error("%s", _printable(result))
-            else:
-                print(result)
-    if failed:
-        logger.error("%d of %d utterances failed", failed, len(manifest.entries))
-        return EXIT_DATA
+        for entry, fm in zip(manifest.entries, _utterance_pass(manifest.entries, manifest.sample_rate_hz, cfg.jobs, features)):
+            store.write_features(fm, targets[entry.utterance_id])
+            print(f"{entry.utterance_id}\t{fm.n_frames}\t{float(fm.mask.mean()) * 100.0:.1f}")
     return EXIT_OK
 
 
@@ -651,11 +639,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args, _config_from_args(args))
     except UsageError as err:
         print(f"usage error: {_printable(err)}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args, _config_from_args(args))
     except (ValueError, OSError) as err:
         print(f"error: {_printable(err)}", file=sys.stderr)
         return EXIT_DATA

@@ -77,7 +77,7 @@ def check_n_filters(q: int, n_fft: int):
     """The filter-count limit: Q filters need Q + 2 distinct boundary bins of the n_fft/2 + 1."""
     k = n_fft // 2 + 1
     if q < 1:
-        raise ValueError("need at least one filter")
+        raise ValueError(f"n_filters {_brief(q)}: need at least one filter")
     if k < q + 2:
         raise ValueError(f"too few bins: n_filters {_brief(q)} needs {_brief(q + 2)}, n_fft {n_fft} gives {k}")
 

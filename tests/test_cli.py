@@ -277,12 +277,13 @@ class TestLearnFilterbank:
         assert rc == 0
 
     def test_pca_shape_needs_manifest(self, capsys, pipeline, tmp_path):
-        rc, _, err = run(
-            capsys, "learn-filterbank", "--scale-doc", pipeline / "scale.json",
-            "--out", tmp_path / "pca.json", "--shape", "pca",
-        )
-        assert rc == 2
-        assert "--manifest" in err
+        # A missing flag is a usage error, reported before the existing output is refused.
+        out = tmp_path / "pca.json"
+        out.write_text("kept")
+        rc, stdout, err = run(capsys, "learn-filterbank", "--scale-doc", pipeline / "scale.json", "--out", out, "--shape", "pca")
+        assert rc == 1 and stdout == ""
+        assert err.splitlines() == ["usage error: PCA filter shapes need --manifest for the corpus pass"]
+        assert out.read_text() == "kept"
 
     def test_four_shapes_share_layout(self, capsys, small_corpus, pipeline, tmp_path):
         payloads = {}
@@ -414,6 +415,21 @@ class TestExtract:
         rc, _, err = run(capsys, "extract", "--manifest", small_corpus["manifest"], "--filterbank", pipeline / "fb.json", "--out", out_dir)
         assert rc == 2
         assert "in use" in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stops_at_first_failing_utterance(self, capsys, small_corpus, pipeline, tmp_path, jobs):
+        # The bad utterance is third: the two before it are written and printed, the one after it is not.
+        manifest, bad = one_bad_utterance(tmp_path, small_corpus, "u_bad", b"not audio")
+        before = [e.utterance_id for e in load_manifest(manifest).entries[:2]]
+        out_dir = tmp_path / "feats"
+        rc, out, err = run(
+            capsys, "extract", "--manifest", manifest, "--filterbank", pipeline / "fb.json", "--out", out_dir,
+            "--jobs", jobs,
+        )
+        assert rc == 2
+        assert err.splitlines() == [f"error: utterance u_bad: {bad}: not a RIFF/WAVE file"]
+        assert [line.split("\t")[0] for line in out.splitlines()] == before
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{i}.wflt" for i in before)
 
 
 class TestFratio:
@@ -724,16 +740,12 @@ class TestPerItemRunner:
         assert counts["started"] == 40 and counts["most"] <= 4
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_keep_going_yields_named_failures_in_order(self, jobs):
+    def test_first_failure_raised_named(self, jobs):
         def fn(item):
             if item % 3 == 0:
                 raise ValueError("bad")
             return item
 
-        results = list(cli._map_ordered(fn, range(7), jobs, lambda i: f"item {i}", keep_going=True))
-        assert [str(r) if isinstance(r, ValueError) else r for r in results] == [
-            "item 0: bad", 1, 2, "item 3: bad", 4, 5, "item 6: bad"
-        ]
         with pytest.raises(ValueError, match=r"^item 0: bad$"):
             list(cli._map_ordered(fn, range(7), jobs, lambda i: f"item {i}"))
 
@@ -1639,7 +1651,6 @@ class TestWavInputs:
 
     @pytest.mark.parametrize("kind", ["not-riff", "non-finite"])
     def test_extract_fails_the_utterance_under_python_m(self, small_corpus, pipeline, tmp_path, kind):
-        # Logged under the name warpfilt.cli, not __main__.
         samples = 0.1 * np.sin(np.arange(16000) / 5.0)
         samples[100] = -np.inf
         data, message = {
@@ -1652,11 +1663,8 @@ class TestWavInputs:
             "--out", tmp_path / "feats",
         )
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [
-            f"ERROR warpfilt.cli: utterance u_bad: {bad}: {message}",
-            "ERROR warpfilt.cli: 1 of 4 utterances failed",
-        ]
-        assert len(proc.stdout.splitlines()) == 3
+        assert proc.stderr.splitlines() == [f"error: utterance u_bad: {bad}: {message}"]
+        assert len(proc.stdout.splitlines()) == 2
 
     def test_chunk_id_echoed_escaped(self, capsys, small_corpus, tmp_path):
         wav = load_manifest(small_corpus["manifest"]).entries[0].path.read_bytes()
@@ -2116,10 +2124,7 @@ class TestOneStderrLine:
         )
         assert proc.returncode == 2
         shown = str(bad).replace("\n", "\\n")
-        assert proc.stderr.splitlines() == [
-            f"ERROR warpfilt.cli: utterance bad: {shown}: not a RIFF/WAVE file",
-            "ERROR warpfilt.cli: 1 of 4 utterances failed",
-        ]
+        assert proc.stderr.splitlines() == [f"error: utterance bad: {shown}: not a RIFF/WAVE file"]
 
 
 class TestConfigValuesCapped:
@@ -2139,6 +2144,8 @@ class TestConfigValuesCapped:
             pytest.param("learn-scale", "n_filters", -NINES, "n_filters {v}: need at least two bands", id="n_filters-bands"),
             pytest.param("learn-scale", "n_filters", NINES, TOO_FEW_BINS, id="n_filters-learn-scale"),
             pytest.param("learn-filterbank", "n_filters", NINES, TOO_FEW_BINS, id="n_filters-learn-filterbank"),
+            pytest.param("learn-filterbank", "n_filters", -NINES, "n_filters {v}: need at least one filter",
+                         id="n_filters-one-filter"),
             pytest.param("learn-scale", "hop_ms", 10**300, "hop_ms must lie in (0, frame_ms 20.0], got {v}", id="hop_ms"),
             pytest.param("learn-scale", "seed", -NINES, "seed must be >= 0, got {v}", id="seed"),
             pytest.param("learn-scale", "seed", -1, "seed must be >= 0, got -1", id="seed-short"),
