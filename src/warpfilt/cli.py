@@ -233,13 +233,13 @@ def _refuse_existing(paths, overwrite: bool):
 
 
 def _utterance_pass(entries, sample_rate_hz: int, jobs: int, fn):
-    """_map_ordered of fn(entry, segment) over manifest entries, named by utterance id; each WAV must have the manifest's rate."""
+    """_map_ordered of fn(segment) over manifest entries, named by utterance id; each WAV must have the manifest's rate."""
 
     def one(entry):
         seg = store.load_wav(entry.path)
         if seg.sample_rate_hz != sample_rate_hz:
             raise ValueError(f"sample rate {seg.sample_rate_hz} differs from manifest rate {sample_rate_hz}")
-        return fn(entry, seg)
+        return fn(seg)
 
     return _map_ordered(one, entries, jobs, lambda entry: f"utterance {entry.utterance_id}")
 
@@ -324,7 +324,7 @@ def cmd_learn_scale(args, cfg: RunConfig) -> int:
                     f"samples: lag_min {lag_min} > lag_max {lag_max}"
                 )
 
-        def ltas(_, seg):
+        def ltas(seg):
             return scale.compute_ltas(utterance_spectra(seg, cfg, n_fft, kind == "speech-based-pitch"), sr / n_fft)
 
         avg = scale.average_ltas(_utterance_pass(manifest.entries, sr, cfg.jobs, ltas))
@@ -354,7 +354,7 @@ def cmd_learn_filterbank(args, cfg: RunConfig) -> int:
     else:
         _check_documents([(args.scale_doc, scale_doc)], manifest.sample_rate_hz, cfg, "learn-filterbank")
 
-        def speech_log_spectra(_, seg):
+        def speech_log_spectra(seg):
             return np.log(utterance_spectra(seg, cfg, n_fft) + sad.ENERGY_EPS)
 
         # Yielded in manifest order, so the filterbank does not depend on --jobs.
@@ -380,7 +380,7 @@ def cmd_extract(args, cfg: RunConfig) -> int:
         raise ValueError(f"{args.filterbank}: n_ceps {_brief(cfg.n_ceps)} must be <= n_filters - 1 = {fb.n_filters - 1}")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def features(_, seg):
+    def features(seg):
         return extract_features(seg, fb, cfg)
 
     # Written here, not on the workers, so a failure leaves exactly the files whose lines were printed.
@@ -408,7 +408,7 @@ def cmd_fratio(args, cfg: RunConfig) -> int:
             raise ValueError(f"{path}: n_filters {fb.n_filters} differs from n_filters {fbs[0].n_filters} of {first}")
 
     # One front-end pass per utterance, shared by every filterbank.
-    def speech_log_energies(_, seg):
+    def speech_log_energies(seg):
         spec = utterance_spectra(seg, cfg, n_fft)
         return [filterbank_log_energies(spec, fb) for fb in fbs]
 

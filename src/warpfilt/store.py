@@ -127,26 +127,6 @@ def load_wav(path: str | Path) -> AudioSegment:
     return AudioSegment(samples, sample_rate)
 
 
-def write_wav(path: str | Path, segment: AudioSegment, fmt: str = "pcm16"):
-    """Write mono 16-bit PCM or 32-bit IEEE float WAV."""
-    if fmt == "pcm16":
-        format_tag, bits = WAVE_FORMAT_PCM, 16
-        clipped = np.clip(segment.samples, -1.0, 32767.0 / 32768.0)
-        payload = (np.rint(clipped * 32768.0).astype("<i2")).tobytes()
-    elif fmt == "float32":
-        format_tag, bits = WAVE_FORMAT_IEEE_FLOAT, 32
-        payload = segment.samples.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown wav format: {fmt!r}")
-    byte_rate = segment.sample_rate_hz * bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, format_tag, 1, segment.sample_rate_hz, byte_rate, bits // 8, bits
-    )
-    header += b"data" + struct.pack("<I", len(payload))
-    _atomic_write(path, header + payload)
-
-
 # --- Model documents ---------------------------------------------------------
 
 @dataclass
@@ -480,32 +460,6 @@ def load_manifest(path: str | Path) -> CorpusManifest:
             raise ValueError(f"{path}: missing audio file {wav}")
         entries.append(ManifestEntry(utt, wav, item.get("speaker_id")))
     return CorpusManifest(entries, rate)
-
-
-def save_manifest(manifest: CorpusManifest, path: str | Path):
-    path = Path(path)
-    base = path.resolve().parent
-
-    def encode(p: Path) -> str:
-        # Paths are stored relative to the manifest so corpus trees stay movable;
-        # load_manifest resolves them against the manifest location.
-        try:
-            return os.path.relpath(Path(p).resolve(), base)
-        except ValueError:
-            return str(Path(p).resolve())
-
-    obj = {
-        "sample_rate_hz": manifest.sample_rate_hz,
-        "entries": [
-            {
-                "utterance_id": e.utterance_id,
-                "path": encode(e.path),
-                **({"speaker_id": e.speaker_id} if e.speaker_id is not None else {}),
-            }
-            for e in manifest.entries
-        ],
-    }
-    write_text(path, json.dumps(obj, indent=1) + "\n")
 
 
 def file_digest(path: str | Path) -> str:

@@ -2,17 +2,51 @@
 
 Utterances are deliberately non-stationary (formant glides, f0 glides, and
 syllable-rate amplitude modulation) so speaker cues survive RASTA filtering.
+The package only reads WAVs and manifests; the writers of both live here.
 """
 
+import json
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
 import scipy.signal
 
 from warpfilt.dsp import AudioSegment
-from warpfilt.store import CorpusManifest, ManifestEntry, save_manifest, write_wav
+from warpfilt.store import WAVE_FORMAT_IEEE_FLOAT, WAVE_FORMAT_PCM, CorpusManifest, ManifestEntry
 
 BLOCK_S = 0.02  # resonator coefficients update every 20 ms
+
+
+def riff_bytes(fmt_body: bytes, payload: bytes) -> bytes:
+    """A RIFF/WAVE file of one fmt chunk and one data chunk (padded to even length)."""
+    head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body + b"data" + struct.pack("<I", len(payload))
+    pad = b"\x00" * (len(payload) & 1)
+    return b"".join([b"RIFF", struct.pack("<I", len(head) + len(payload) + len(pad)), head, payload, pad])
+
+
+def write_wav(path, segment: AudioSegment, fmt: str = "pcm16"):
+    """Write mono WAV: fmt "pcm16" clips the samples to [-1, 1) and rounds them, "float32" is 32-bit IEEE float."""
+    rate = segment.sample_rate_hz
+    if fmt == "pcm16":
+        payload = np.rint(np.clip(segment.samples, -1.0, 32767.0 / 32768.0) * 32768.0).astype("<i2").tobytes()
+        fmt_body = struct.pack("<HHIIHH", WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16)
+    else:
+        payload = segment.samples.astype("<f4").tobytes()
+        fmt_body = struct.pack("<HHIIHH", WAVE_FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32)
+    Path(path).write_bytes(riff_bytes(fmt_body, payload))
+
+
+def save_manifest(manifest: CorpusManifest, path):
+    """Write a manifest whose entry paths are relative to it, so a corpus tree stays movable."""
+    path = Path(path)
+    entries = []
+    for e in manifest.entries:
+        entry = {"utterance_id": e.utterance_id, "path": os.path.relpath(Path(e.path).resolve(), path.resolve().parent)}
+        entries.append(entry if e.speaker_id is None else {**entry, "speaker_id": e.speaker_id})
+    obj = {"sample_rate_hz": manifest.sample_rate_hz, "entries": entries}
+    path.write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
 
 
 def _speaker_traits(speaker_idx: int, seed: int):

@@ -339,10 +339,22 @@ def test_criterion_10_end_to_end_desk_asv(desk_corpus, tmp_path_factory):
                 continue
             grid[(scale_flag, shape_flag)] = _run_cell(art, desk_corpus, scale_flag, shape_flag)
     total = time.perf_counter() - start
+
+    # The paper's F-ratio claim: each learned filterbank beats mel/tri, and PCA beats triangles on speech-pitch.
+    variants = ["mel_tri", "speech_tri", "speech-pitch_tri", "speech-pitch_pca", "speech-pitch_wpca-norm"]
+    fbs = [str(art / f"fb_{v}.json") for v in variants]
+    assert main(["fratio", "--manifest", str(desk_corpus["manifest"]), "--filterbanks", *fbs, "--out", str(art / "f.tsv")]) == 0
+    header, *_, averages = (line.split("\t") for line in (art / "f.tsv").read_text(encoding="utf-8").splitlines())
+    assert header[1:-1] == [Path(fb).stem for fb in fbs]
+    avg = dict(zip(variants, map(float, averages[1:-1])))
+    assert all(avg[v] > avg["mel_tri"] for v in variants[1:]), avg
+    assert avg["speech-pitch_pca"] > avg["speech-pitch_tri"], avg
+
     lines = ["EER% grid (rows: shape, cols: scale):"]
     for shape_flag in ("tri", "pca", "wpca", "wpca-norm"):
         cells = "  ".join(f"{grid[(s, shape_flag)]:6.2f}" for s in ("mel", "speech", "speech-pitch"))
         lines.append(f"  {shape_flag:>9}: {cells}")
+    lines.append("average F-ratio: " + ", ".join(f"{v} {value:.4f}" for v, value in avg.items()))
     ok(10, f"speech-pitch/wpca-norm EER {headline_eer:.2f}% in {headline_time:.0f} s; grid done in {total:.0f} s\n" + "\n".join(lines))
 
 

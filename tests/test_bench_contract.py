@@ -62,12 +62,13 @@ def test_hooked_functions_have_the_parameters_their_hooks_read():
 
 def hooked_calls(tmp_path):
     """(target, arguments) for a tiny real call of every hooked function, writers before readers."""
+    from synth import write_wav
     from warpfilt import backend, scale, store
     from warpfilt.dsp import AudioSegment
     from warpfilt.features import FeatureMatrix
 
     wav = tmp_path / "u.wav"
-    store.write_wav(wav, AudioSegment(np.full(400, 0.25), 16000))
+    write_wav(wav, AudioSegment(np.full(400, 0.25), 16000))
     doc = store.scale_document(scale.mel_warping_scale(4000.0), 8000, 256)
     fm = FeatureMatrix(np.ones((3, 2)), np.array([True, False, True]))
     tone = np.sin(2 * np.pi * 150.0 * np.arange(2 * 320) / 16000).reshape(2, 320)

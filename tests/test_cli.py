@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from synth import build_corpus
+from synth import build_corpus, save_manifest, write_wav
 
 import warpfilt
 from warpfilt import cli, dsp, sad, store
@@ -35,9 +35,7 @@ from warpfilt.store import (
     load_model,
     read_features,
     read_scores,
-    save_manifest,
     write_features,
-    write_wav,
 )
 
 

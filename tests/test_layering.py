@@ -5,6 +5,9 @@ features on all three. analysis and backend take plain arrays and import no
 package module. store reads and writes every layer's objects, and cli and the
 package __init__ may import anything. An import inside a function would hide an
 edge until the function runs, so none is allowed.
+
+A function, class or method that no module names is dead code, kept only where
+KEPT_UNREFERENCED gives the reason.
 """
 
 import ast
@@ -88,3 +91,39 @@ def test_checker_names_each_forbidden_import(tmp_path):
         "extra is not in the layering table",
         "store.Reader.read imports features inside a function",
     ]
+
+
+# Definitions that no package module names, each kept for the reason given.
+KEPT_UNREFERENCED = {
+    "WarpingScale.warp": "the scale's forward map, kept by decision",
+    "_Parser.error": "argparse calls it",
+    "backend.score_trial": "the benchmark's tracer wraps it; it goes when the benchmark reads stage records",
+}
+
+
+def unreferenced_definitions(package_dir: Path) -> list[str]:
+    """module.function, module.Class and Class.method (not dunders) of each definition no Name or Attribute names.
+
+    __init__.py only re-exports, so it is neither scanned nor counted.
+    """
+    named, defined = set(), []
+    for path in sorted(Path(package_dir).glob("*.py")):
+        if path.stem != "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+            named |= {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.stem, node.name))
+                if isinstance(node, ast.ClassDef):
+                    methods = [m.name for m in node.body if isinstance(m, ast.FunctionDef)]
+                    defined += [(node.name, m) for m in methods if not (m.startswith("__") and m.endswith("__"))]
+    return sorted(f"{owner}.{name}" for owner, name in defined if name not in named)
+
+
+def test_every_package_definition_is_named_in_the_package():
+    found = unreferenced_definitions(PACKAGE)
+    dead = [name for name in found if name not in KEPT_UNREFERENCED]
+    assert dead == [], f"named nowhere in the package: {', '.join(dead)}"
+    # The kept names also show that the scan finds what no module names.
+    assert set(KEPT_UNREFERENCED) <= set(found), "a kept name is now named in the package, or gone"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from synth import riff_bytes, save_manifest, write_wav
 
 from warpfilt import store
 from warpfilt.backend import GmmModel, Trial, TrialScoreSet, det_curve, eer
@@ -33,29 +34,12 @@ from warpfilt.store import (
     read_features,
     read_scores,
     read_trials,
-    save_manifest,
     save_model,
     scale_document,
     scale_from_document,
     write_features,
     write_scores,
-    write_wav,
 )
-
-
-def pcm16_bytes(samples, sr=16000):
-    payload = np.asarray(samples, dtype="<i2").tobytes()
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, sr, sr * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(payload))
-    return header + payload
-
-
-def riff_bytes(fmt_body, payload):
-    """A RIFF/WAVE file of one fmt chunk and one data chunk (padded to even length)."""
-    raw = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
-    raw += b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1)
-    return b"RIFF" + struct.pack("<I", len(raw)) + raw
 
 
 def extensible_fmt(sub_format, bits, sr=16000, size=40):
@@ -66,6 +50,10 @@ def extensible_fmt(sub_format, bits, sr=16000, size=40):
 
 
 PCM16_FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+
+
+def pcm16_bytes(samples):
+    return riff_bytes(PCM16_FMT, np.asarray(samples, dtype="<i2").tobytes())
 
 
 class TestWav:
@@ -99,22 +87,14 @@ class TestWav:
         assert np.abs(back.samples - seg.samples).max() <= 1.0 / 32768.0
 
     def test_stereo_rejected(self, tmp_path):
-        payload = np.zeros(8, dtype="<i2").tobytes()
-        raw = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-        raw += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 16000, 64000, 4, 16)
-        raw += b"data" + struct.pack("<I", len(payload)) + payload
         path = tmp_path / "s.wav"
-        path.write_bytes(raw)
+        path.write_bytes(riff_bytes(struct.pack("<HHIIHH", 1, 2, 16000, 64000, 4, 16), np.zeros(8, "<i2").tobytes()))
         with pytest.raises(ValueError, match="channel"):
             load_wav(path)
 
     def test_unsupported_codec(self, tmp_path):
-        payload = np.zeros(6, dtype="<i2").tobytes()
-        raw = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-        raw += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 16000, 48000, 3, 24)
-        raw += b"data" + struct.pack("<I", len(payload)) + payload
         path = tmp_path / "c.wav"
-        path.write_bytes(raw)
+        path.write_bytes(riff_bytes(struct.pack("<HHIIHH", 1, 1, 16000, 48000, 3, 24), np.zeros(6, "<i2").tobytes()))
         with pytest.raises(ValueError, match="unsupported codec"):
             load_wav(path)
 
